@@ -10,8 +10,8 @@ faster than cold.
 import time
 
 from repro.experiments.harness import build_context, run_stpt_sweep
-from repro.experiments.presets import active_preset
 from repro.pipeline import ArtifactStore
+from repro.scenarios.presets import active_preset
 
 EPSILONS = (5.0, 10.0, 20.0)
 

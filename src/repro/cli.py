@@ -14,9 +14,8 @@ Examples::
     python -m repro scenarios show fig6-cer
     python -m repro publish --data cer.npz --scenario fig6-cer --out out.npz
     python -m repro bench --list
-    python -m repro bench nn_kernels
     python -m repro bench parallel_sweep --workers 4
-    python -m repro bench query_engine --trend
+    python -m repro bench serving --trend
     python -m repro pipeline run --data ca.npz --grid 16 --t-train 40 \
         --cache-dir .repro-cache
     python -m repro pipeline inspect --cache-dir .repro-cache

@@ -436,31 +436,6 @@ class PatternRecognizer:
             "rmse": float(np.sqrt(np.mean(errors**2))),
         }
 
-def _rollout_per_node_reference(
-    model: SequenceForecaster,
-    seeds: np.ndarray,
-    steps: int,
-    clip: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """One-node-at-a-time roll-out: the reference the batched path beats.
-
-    ``PatternRecognizer.generate(rollout="cell")`` rolls *all* cells
-    forward in one ``predict_autoregressive`` call, so every timestep
-    costs one batched gemm instead of one gemv per node. This loop is
-    the pre-vectorization semantics, kept for the equivalence and
-    speedup checks (``tests/nn/test_fast_kernels.py``,
-    ``benchmarks/bench_nn_kernels.py``). Single-row gemv and batched
-    gemm may differ in the last ulp, so the equivalence is asserted to
-    a tight absolute tolerance rather than bit-for-bit.
-    """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    rows = [
-        model.predict_autoregressive(seeds[i : i + 1], steps, clip=clip)[0]
-        for i in range(seeds.shape[0])
-    ]
-    return np.stack(rows)
-
-
 __all__ = [
     "PatternConfig",
     "PatternResult",

@@ -22,12 +22,16 @@ def clip_readings(readings: np.ndarray, clip_factor: float) -> np.ndarray:
     """Clip meter readings into ``[0, clip_factor]``.
 
     Clipping bounds per-user influence before any budget is spent, which
-    is data-independent and therefore free of privacy cost.
+    is data-independent and therefore free of privacy cost. A NaN or
+    infinite reading is rejected rather than clipped: ``np.clip`` would
+    pass NaN through and silently map ``inf`` to the bound.
     """
     if not np.isfinite(clip_factor) or clip_factor <= 0:
         raise DataError(f"clip_factor must be positive, got {clip_factor!r}")
     readings = np.asarray(readings, dtype=float)
-    if readings.size and np.nanmin(readings) < 0:
+    if not np.all(np.isfinite(readings)):
+        raise DataError("meter readings must be finite")
+    if readings.size and readings.min() < 0:
         raise DataError("meter readings must be non-negative")
     return np.clip(readings, 0.0, clip_factor)
 

@@ -26,9 +26,9 @@ from repro.experiments.harness import (
     run_stpt,
     run_stpt_many,
 )
-from repro.experiments.presets import ScalePreset
 from repro.rng import RngLike, derive_seed, ensure_rng
 from repro.scenarios import resolve_scenario
+from repro.scenarios.presets import ScalePreset
 
 
 def ablation_budget_allocation(

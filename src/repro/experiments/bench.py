@@ -1,16 +1,17 @@
 """Named benchmarks behind ``repro bench``.
 
-Each benchmark exercises one of the hot paths introduced by
-``repro.parallel`` against its serial or reference twin, verifies the
-outputs agree (bit-identical where the contract is bit-identity, tight
-tolerance for the batched rollout), and returns a JSON-serializable
-payload. The CLI stamps the payload with the current commit and writes
-it to ``BENCH_<name>.json``.
+Each benchmark drives one subsystem — the parallel sweep, the sharded
+publish, the serving stack, the tracer, the flow linter or the audit
+suite — verifies its outputs (bit-identity across worker counts,
+bit-identical served answers, zero lint findings, every audit gate)
+before any timing counts, and returns a JSON-serializable payload. The
+CLI stamps the payload with the current commit and writes it to
+``BENCH_<name>.json``. The end-to-end wall time of a publish and of
+serving is measured by ``perfbench/``, not here.
 
 Speedup assertions are honest about the hardware: the parallel-sweep
-target (>= 2x at four workers) is only asserted when the machine
-actually has four cores; the kernel targets (>= 3x over the Python
-reference loops) hold on a single core and are always asserted.
+and sharded-publish targets are only asserted when the machine actually
+has four cores.
 """
 
 from __future__ import annotations
@@ -23,27 +24,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.pattern import _rollout_per_node_reference
 from repro.core.stpt import STPT
 from repro.data.matrix import ConsumptionMatrix
 from repro.exceptions import ConfigurationError
 from repro.experiments.harness import build_scenario_context, run_stpt_many
 from repro.experiments.trend import Threshold
-from repro.nn.models import GRUForecaster, make_forecaster
-from repro.nn.optimizers import RMSProp
 from repro.obs import Metrics, NullTracer, Tracer, use_metrics, use_tracer
-from repro.nn.training import (
-    Trainer,
-    _make_windows_reference,
-    make_windows,
-)
-from repro.queries.engine import QueryEngine, query_bounds
-from repro.queries.range_query import (
-    _evaluate_queries_reference,
-    large_queries,
-    random_queries,
-    small_queries,
-)
+from repro.queries.engine import QueryEngine
 from repro.scenarios import resolve_scenario
 
 BENCHMARKS: dict[str, Callable[..., dict]] = {}
@@ -57,12 +44,6 @@ _SWEEP_SPEEDUP_FLOOR = 2.0
 _SWEEP_CORE_FLOOR = 4
 #: Intra-publish sharding floor at paper scale, same core gate.
 _SHARDED_SPEEDUP_FLOOR = 4.0
-#: Kernel speedup floor over the pure-Python reference, any machine.
-_KERNEL_SPEEDUP_FLOOR = 3.0
-#: Trainer.fit floor: batched BPTT + flat optimizer vs the reference path.
-_TRAINING_SPEEDUP_FLOOR = 2.0
-#: Query-engine floor over per-query slice sums on the mixed workload.
-_QUERY_SPEEDUP_FLOOR = 10.0
 #: Warm batched serving floor over cold per-request engine builds.
 _SERVING_SPEEDUP_FLOOR = 5.0
 #: Ceiling on the instrumentation share of sweep wall time (NullTracer).
@@ -103,24 +84,6 @@ def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
         started = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _best_of_interleaved(
-    fns: Sequence[Callable[[], object]], repeats: int = 5
-) -> list[float]:
-    """Best wall time per function, alternating between them each round.
-
-    Interleaving makes competing variants sample the same machine
-    conditions (CPU frequency, background load), so their best-time
-    *ratio* is far more stable than timing each side in its own block.
-    """
-    best = [float("inf")] * len(fns)
-    for __ in range(repeats):
-        for index, fn in enumerate(fns):
-            started = time.perf_counter()
-            fn()
-            best[index] = min(best[index], time.perf_counter() - started)
     return best
 
 
@@ -255,244 +218,6 @@ def bench_sharded_publish(workers: int = 4) -> dict:
         "bit_identical": True,
         "epsilon_exact": True,
         "speedup_asserted": asserted,
-    }
-
-
-def _bench_make_windows(rng: np.random.Generator) -> dict:
-    series = [rng.standard_normal(200) for __ in range(256)]
-    window = 24
-    fast = make_windows(series, window)
-    reference = _make_windows_reference(series, window)
-    if not (
-        np.array_equal(fast[0], reference[0])
-        and np.array_equal(fast[1], reference[1])
-    ):
-        raise AssertionError("vectorized make_windows diverged from reference")
-    fast_seconds = _best_of(lambda: make_windows(series, window))
-    reference_seconds = _best_of(lambda: _make_windows_reference(series, window))
-    speedup = reference_seconds / fast_seconds
-    if speedup < _KERNEL_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"make_windows speedup {speedup:.2f}x is below the "
-            f"{_KERNEL_SPEEDUP_FLOOR}x floor"
-        )
-    return {
-        "reference_seconds": round(reference_seconds, 5),
-        "vectorized_seconds": round(fast_seconds, 5),
-        "speedup": round(speedup, 2),
-        "exact_match": True,
-    }
-
-
-def _bench_batched_rollout(rng: np.random.Generator) -> dict:
-    model = GRUForecaster(window=6, embed_dim=16, hidden_dim=16, rng=3)
-    seeds = rng.standard_normal((64, 6))
-    steps = 48
-    batched = model.predict_autoregressive(seeds, steps)
-    per_node = _rollout_per_node_reference(model, seeds, steps)
-    max_abs_diff = float(np.max(np.abs(batched - per_node)))
-    if max_abs_diff > 1e-12:
-        raise AssertionError(
-            f"batched rollout drifted {max_abs_diff:.2e} from per-node"
-        )
-    batched_seconds = _best_of(
-        lambda: model.predict_autoregressive(seeds, steps)
-    )
-    per_node_seconds = _best_of(
-        lambda: _rollout_per_node_reference(model, seeds, steps)
-    )
-    speedup = per_node_seconds / batched_seconds
-    if speedup < _KERNEL_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"batched rollout speedup {speedup:.2f}x is below the "
-            f"{_KERNEL_SPEEDUP_FLOOR}x floor"
-        )
-    return {
-        "per_node_seconds": round(per_node_seconds, 5),
-        "batched_seconds": round(batched_seconds, 5),
-        "speedup": round(speedup, 2),
-        "max_abs_diff": max_abs_diff,
-    }
-
-
-@register(
-    "nn_kernels",
-    threshold=f">= {_KERNEL_SPEEDUP_FLOOR}x per kernel vs the kept "
-    "Python reference loops; equivalence checked before timing",
-    metrics=("kernels.make_windows.speedup", "kernels.batched_rollout.speedup"),
-    floor=_KERNEL_SPEEDUP_FLOOR,
-)
-def bench_nn_kernels(workers: int | None = None) -> dict:
-    """Vectorized NN kernels vs their kept reference implementations."""
-    del workers  # single-process benchmark; kept for a uniform signature
-    rng = np.random.default_rng(17)
-    return {
-        "benchmark": "nn_kernels",
-        "cpu_count": os.cpu_count() or 1,
-        "kernels": {
-            "make_windows": _bench_make_windows(rng),
-            "batched_rollout": _bench_batched_rollout(rng),
-        },
-    }
-
-
-def _training_fit(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    window: int,
-    batched: bool,
-    flat: bool,
-) -> float:
-    """One full ``Trainer.fit`` from scratch; returns the final loss.
-
-    The model and optimizer are rebuilt per call from fixed seeds so
-    repeated timings run the exact same schedule, and the two variants
-    differ only in which backward/optimizer kernels execute.
-    """
-    model = make_forecaster(
-        "rnn",
-        window=window,
-        embed_dim=8,
-        hidden_dim=8,
-        use_attention=False,
-        rng=5,
-    )
-    model.core.batched_backward = batched
-    trainer = Trainer(
-        model,
-        optimizer=RMSProp(list(model.parameters()), lr=1e-3, flat=flat),
-        epochs=3,
-        batch_size=16,
-        rng=9,
-    )
-    return trainer.fit(inputs, targets).final_loss
-
-
-@register(
-    "training_step",
-    threshold=f">= {_TRAINING_SPEEDUP_FLOOR}x Trainer.fit: batched BPTT + "
-    "flat-buffer RMSProp vs per-step backward + per-parameter steps",
-    metrics=("speedup",),
-    floor=_TRAINING_SPEEDUP_FLOOR,
-)
-def bench_training_step(workers: int | None = None) -> dict:
-    """End-to-end ``Trainer.fit``: fast kernels vs the reference path.
-
-    The fast path runs the batched BPTT ``backward`` of the recurrent
-    wrappers plus the flat-buffer fused RMSProp; the reference path
-    toggles ``batched_backward = False`` (per-step gemms) and steps
-    parameter-by-parameter. Both train the identical model on the
-    identical batch schedule; the final losses must agree to 1e-6
-    (batched BPTT reassociates gradient sums, so bit-identity is not
-    the contract — ``tests/nn/test_fast_kernels.py`` pins <= 1e-10 per
-    backward call) and the fast path must be >= 2x faster. Long 48-step
-    windows over a small hidden state keep the recurrence — where the
-    two paths actually differ — the dominant cost, mirroring STPT's
-    long-window pattern-recognition sweeps.
-    """
-    del workers  # single-process benchmark; kept for a uniform signature
-    rng = np.random.default_rng(23)
-    window = 48
-    series = [rng.random(112) for __ in range(8)]
-    inputs, targets = make_windows(series, window)
-
-    fast_loss = _training_fit(inputs, targets, window, batched=True, flat=True)
-    reference_loss = _training_fit(
-        inputs, targets, window, batched=False, flat=False
-    )
-    loss_abs_diff = abs(fast_loss - reference_loss)
-    if loss_abs_diff > 1e-6:
-        raise AssertionError(
-            f"batched-BPTT fit drifted {loss_abs_diff:.2e} in final loss "
-            "from the per-step reference"
-        )
-
-    fast_seconds, reference_seconds = _best_of_interleaved(
-        (
-            lambda: _training_fit(inputs, targets, window, batched=True, flat=True),
-            lambda: _training_fit(inputs, targets, window, batched=False, flat=False),
-        ),
-        repeats=7,
-    )
-    speedup = reference_seconds / fast_seconds
-    if speedup < _TRAINING_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"Trainer.fit speedup {speedup:.2f}x is below the "
-            f"{_TRAINING_SPEEDUP_FLOOR}x floor"
-        )
-    return {
-        "benchmark": "training_step",
-        "cpu_count": os.cpu_count() or 1,
-        "windows": int(len(inputs)),
-        "window": window,
-        "epochs": 3,
-        "reference_seconds": round(reference_seconds, 5),
-        "batched_seconds": round(fast_seconds, 5),
-        "speedup": round(speedup, 2),
-        "loss_abs_diff": loss_abs_diff,
-    }
-
-
-@register(
-    "query_engine",
-    threshold=f">= {_QUERY_SPEEDUP_FLOOR}x on a 900-query mixed workload "
-    "vs per-query slice sums (engine build included in the timing)",
-    metrics=("speedup",),
-    floor=_QUERY_SPEEDUP_FLOOR,
-)
-def bench_query_engine(workers: int | None = None) -> dict:
-    """Prefix-sum engine vs per-query slice sums on a mixed workload.
-
-    300 small + 300 large + 300 random queries (the paper's Eq. 5
-    evaluation shape) over a matrix at the CI experiment geometry
-    (16x16 grid, 32-day test horizon). The engine timing includes
-    building the cumsum table — the cost a harness pays once per
-    released matrix — and must still beat re-slicing every query by
-    >= 10x; the workload's corner indices are extracted once up front,
-    exactly as the harness caches them per context. Answers are checked
-    against the slice sums first.
-    """
-    del workers  # single-process benchmark; kept for a uniform signature
-    rng = np.random.default_rng(29)
-    values = rng.random((16, 16, 32))
-    shape = values.shape
-    queries = (
-        small_queries(shape, count=300, rng=3)
-        + large_queries(shape, count=300, rng=4)
-        + random_queries(shape, count=300, rng=5)
-    )
-    bounds = query_bounds(queries)
-
-    fast = QueryEngine(values).evaluate_many(bounds)
-    reference = _evaluate_queries_reference(queries, values)
-    max_abs_diff = float(np.max(np.abs(fast - reference)))
-    scale = float(np.max(np.abs(reference))) or 1.0
-    if max_abs_diff > 1e-9 * scale:
-        raise AssertionError(
-            f"query engine drifted {max_abs_diff:.2e} from slice sums"
-        )
-
-    fast_seconds, reference_seconds = _best_of_interleaved(
-        (
-            lambda: QueryEngine(values).evaluate_many(bounds),
-            lambda: _evaluate_queries_reference(queries, values),
-        )
-    )
-    speedup = reference_seconds / fast_seconds
-    if speedup < _QUERY_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"query engine speedup {speedup:.2f}x is below the "
-            f"{_QUERY_SPEEDUP_FLOOR}x floor"
-        )
-    return {
-        "benchmark": "query_engine",
-        "cpu_count": os.cpu_count() or 1,
-        "matrix_shape": list(shape),
-        "queries": len(queries),
-        "reference_seconds": round(reference_seconds, 5),
-        "engine_seconds": round(fast_seconds, 5),
-        "speedup": round(speedup, 2),
-        "max_abs_diff": max_abs_diff,
     }
 
 
@@ -951,13 +676,10 @@ __all__: Sequence[str] = [
     "TREND_THRESHOLDS",
     "bench_audit_suite",
     "bench_lint_flow",
-    "bench_nn_kernels",
     "bench_parallel_sweep",
-    "bench_query_engine",
     "bench_serving",
     "bench_sharded_publish",
     "bench_trace_overhead",
-    "bench_training_step",
     "register",
     "run_benchmark",
 ]

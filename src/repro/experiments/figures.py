@@ -33,9 +33,9 @@ from repro.experiments.harness import (
     run_stpt_many,
     run_stpt_sweep,
 )
-from repro.experiments.presets import ScalePreset
 from repro.rng import RngLike, derive_seed, ensure_rng
 from repro.scenarios import ResolvedScenario, resolve_scenario
+from repro.scenarios.presets import ScalePreset
 
 # ---------------------------------------------------------------------------
 # Table 2 and Figure 9: dataset statistics

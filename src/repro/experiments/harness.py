@@ -29,7 +29,6 @@ from repro.data.datasets import SmartMeterDataset, TABLE2, generate_dataset
 from repro.data.matrix import ConsumptionMatrix, build_matrices
 from repro.data.spatial import place_households
 from repro.exceptions import ConfigurationError
-from repro.experiments.presets import ScalePreset, active_preset
 from repro.parallel import ExecutionResult, execute
 from repro.pipeline import ArtifactStore, Pipeline, RunRecord, Stage
 from repro.queries.engine import QueryEngine, query_bounds
@@ -37,6 +36,7 @@ from repro.queries.metrics import workload_mre
 from repro.queries.range_query import RangeQuery, make_workload
 from repro.rng import RngLike, derive_seed, ensure_rng
 from repro.scenarios import ResolvedScenario
+from repro.scenarios.presets import ScalePreset, active_preset
 
 DATASET_NAMES = ("CER", "CA", "MI", "TX")
 QUERY_KINDS = ("random", "small", "large")

@@ -13,8 +13,8 @@ from typing import Callable
 
 from repro.experiments import ablations, figures
 from repro.experiments.harness import format_table
-from repro.experiments.presets import ScalePreset, active_preset
 from repro.rng import RngLike, derive_seed, ensure_rng
+from repro.scenarios.presets import ScalePreset, active_preset
 
 # Each section maps (preset, dataset, rng) -> rows. ``dataset`` is the
 # report's default dataset for single-dataset experiments.

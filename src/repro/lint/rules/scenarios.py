@@ -51,11 +51,7 @@ class InlineScenarioConfigRule(Rule):
         "description silently. Register a scenario (or extend one with "
         "overrides) and resolve it instead."
     )
-    default_allow = (
-        "src/repro/scenarios",
-        "src/repro/experiments/presets.py",
-        "tests",
-    )
+    default_allow = ("src/repro/scenarios", "tests")
 
     def check_module(
         self, module: ModuleInfo, options: RuleOptions

@@ -106,8 +106,10 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"{value.shape} vs {param.value.shape}"
                 )
-            param.value = value.copy()
-            param.grad = np.zeros_like(param.value)
+            # Copy into the existing arrays: rebinding them would detach
+            # the parameter from its optimizer's flat buffer.
+            param.value[...] = value
+            param.grad.fill(0.0)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - interface
         raise NotImplementedError

@@ -4,26 +4,23 @@ The paper trains its pattern-recognition models with RMSProp at a
 learning rate of 1e-3 (Appendix C); SGD and Adam are provided for the
 ablations and tests.
 
-All three optimizers take *fused, allocation-free* steps: every update
-is an in-place ``np.multiply``/``np.add``/``np.divide`` with ``out=``
-into preallocated moment and scratch buffers, so a step allocates no
-temporaries regardless of how often it runs. The element-wise formulas
-(and therefore the produced bits) match the classic expression-per-line
-implementations: only temporaries were eliminated, never reassociated.
+Every optimizer holds its parameters in one flat buffer: construction
+copies the values and gradients into two contiguous arrays and
+re-points each ``Parameter.value``/``Parameter.grad`` at a view of its
+slice. The moment and scratch buffers are single arrays of the same
+length, so a step is a handful of in-place ``np.multiply``/``np.add``/
+``np.divide`` calls with ``out=`` over the whole model: no
+per-parameter loop and no temporaries. The kernels are purely
+elementwise and follow the classic expression-per-line formulas
+operation for operation, so a step produces the same bits as updating
+each parameter on its own.
 
-``flat=True`` additionally switches an optimizer to *flat-buffer mode*:
-parameter values and gradients are copied once into two contiguous
-arrays and every ``Parameter.value``/``Parameter.grad`` is re-pointed
-at a view of its slice, so the whole model updates with a handful of
-long vector ops instead of ~20 short per-parameter loops in Python.
-Because the fused kernels are purely element-wise, flat steps are
-**bit-identical** to per-parameter steps (asserted in
-``tests/nn/test_optimizers.py``). The aliasing contract: backward
-passes may accumulate into ``Parameter.grad`` in place (``+=``) and
-:func:`clip_grad_norm` may scale it in place, but code that *rebinds*
-``Parameter.value`` or ``Parameter.grad`` to fresh arrays — e.g.
-``Module.load_state_dict`` — breaks the views and must not be mixed
-with further flat steps.
+Aliasing contract: code may update ``Parameter.value`` and
+``Parameter.grad`` in place — backward passes accumulate with ``+=``,
+:func:`clip_grad_norm` scales with ``*=`` and
+:meth:`~repro.nn.module.Module.load_state_dict` copies into the
+existing arrays — but must not rebind them, which would detach the
+parameter from its optimizer.
 """
 
 from __future__ import annotations
@@ -51,16 +48,10 @@ def _flatten_into_views(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray
 
 
 class Optimizer:
-    """Base optimizer over a fixed parameter list.
-
-    ``flat=True`` enables flat-buffer mode (see the module docstring).
-    """
+    """Base optimizer over a fixed parameter list in one flat buffer."""
 
     def __init__(
-        self,
-        params: list[Parameter] | tuple[Parameter, ...],
-        lr: float,
-        flat: bool = False,
+        self, params: list[Parameter] | tuple[Parameter, ...], lr: float
     ) -> None:
         params = list(params)
         if not params:
@@ -69,50 +60,14 @@ class Optimizer:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.params = params
         self.lr = lr
-        self.flat = bool(flat)
-        if self.flat:
-            self._flat_value, self._flat_grad = _flatten_into_views(params)
-        else:
-            self._flat_value = self._flat_grad = None
-
-    def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(value, grad) array pairs the step kernels iterate over.
-
-        One pair per parameter normally; a single long pair in flat
-        mode. Resolved at call time (not cached) so per-parameter mode
-        keeps tracking ``Parameter.value`` rebinds exactly like the
-        historical ``p.value -= ...`` implementations did.
-        """
-        if self.flat:
-            return ((self._flat_value, self._flat_grad),)
-        return tuple((p.value, p.grad) for p in self.params)
+        self._flat_value, self._flat_grad = _flatten_into_views(params)
 
     def zero_grad(self) -> None:
-        if self.flat:
-            self._flat_grad.fill(0.0)
-            return
-        for p in self.params:
-            p.zero_grad()
+        self._flat_grad.fill(0.0)
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Global-L2 gradient clip over this optimizer's parameters.
-
-        In flat mode the norm and the scaling are two vector ops on the
-        contiguous gradient buffer instead of a per-parameter loop. The
-        single ``dot`` reassociates the sum of squares relative to the
-        per-parameter accumulation, so the clip scale can differ from
-        :func:`clip_grad_norm` in the last ulp; per-parameter mode
-        delegates to it exactly.
-        """
-        if not self.flat:
-            return clip_grad_norm(self.params, max_norm)
-        if max_norm <= 0:
-            raise ConfigurationError("max_norm must be positive")
-        grad = self._flat_grad
-        total = float(np.sqrt(grad.dot(grad)))
-        if total > max_norm and total > 0:
-            np.multiply(grad, max_norm / total, out=grad)
-        return total
+        """Global-L2 gradient clip over this optimizer's parameters."""
+        return clip_grad_norm(self.params, max_norm)
 
     def step(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -121,65 +76,54 @@ class Optimizer:
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
 
-    def __init__(
-        self, params, lr: float = 1e-2, momentum: float = 0.0, flat: bool = False
-    ) -> None:
-        super().__init__(params, lr, flat=flat)
+    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0) -> None:
+        super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
         self.momentum = momentum
-        self._velocity = [np.zeros_like(v) for v, __ in self._buffers()]
-        self._scratch = [np.empty_like(v) for v, __ in self._buffers()]
+        self._velocity = np.zeros_like(self._flat_value)
+        self._scratch = np.empty_like(self._flat_value)
 
     def step(self) -> None:
-        for (value, grad), velocity, scratch in zip(
-            self._buffers(), self._velocity, self._scratch
-        ):
-            np.multiply(grad, self.lr, out=scratch)
-            if self.momentum:
-                np.multiply(velocity, self.momentum, out=velocity)
-                np.subtract(velocity, scratch, out=velocity)
-                np.add(value, velocity, out=value)
-            else:
-                np.subtract(value, scratch, out=value)
+        value, velocity, scratch = self._flat_value, self._velocity, self._scratch
+        np.multiply(self._flat_grad, self.lr, out=scratch)
+        if self.momentum:
+            np.multiply(velocity, self.momentum, out=velocity)
+            np.subtract(velocity, scratch, out=velocity)
+            np.add(value, velocity, out=value)
+        else:
+            np.subtract(value, scratch, out=value)
 
 
 class RMSProp(Optimizer):
     """RMSProp (Tieleman & Hinton): scale updates by an EMA of grad²."""
 
     def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        flat: bool = False,
+        self, params, lr: float = 1e-3, alpha: float = 0.99, eps: float = 1e-8
     ) -> None:
-        super().__init__(params, lr, flat=flat)
+        super().__init__(params, lr)
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
         self.alpha = alpha
         self.eps = eps
-        self._square_avg = [np.zeros_like(v) for v, __ in self._buffers()]
-        self._scratch = [np.empty_like(v) for v, __ in self._buffers()]
-        self._update = [np.empty_like(v) for v, __ in self._buffers()]
+        self._square_avg = np.zeros_like(self._flat_value)
+        self._scratch = np.empty_like(self._flat_value)
+        self._update = np.empty_like(self._flat_value)
 
     def step(self) -> None:
-        decay_in = 1.0 - self.alpha
-        for (value, grad), square_avg, scratch, update in zip(
-            self._buffers(), self._square_avg, self._scratch, self._update
-        ):
-            # square_avg = alpha * square_avg + (1 - alpha) * grad²
-            np.multiply(square_avg, self.alpha, out=square_avg)
-            np.multiply(grad, grad, out=scratch)
-            np.multiply(scratch, decay_in, out=scratch)
-            np.add(square_avg, scratch, out=square_avg)
-            # value -= lr * grad / (sqrt(square_avg) + eps)
-            np.sqrt(square_avg, out=scratch)
-            np.add(scratch, self.eps, out=scratch)
-            np.multiply(grad, self.lr, out=update)
-            np.divide(update, scratch, out=update)
-            np.subtract(value, update, out=value)
+        value, grad = self._flat_value, self._flat_grad
+        square_avg, scratch, update = self._square_avg, self._scratch, self._update
+        # square_avg = alpha * square_avg + (1 - alpha) * grad²
+        np.multiply(square_avg, self.alpha, out=square_avg)
+        np.multiply(grad, grad, out=scratch)
+        np.multiply(scratch, 1.0 - self.alpha, out=scratch)
+        np.add(square_avg, scratch, out=square_avg)
+        # value -= lr * grad / (sqrt(square_avg) + eps)
+        np.sqrt(square_avg, out=scratch)
+        np.add(scratch, self.eps, out=scratch)
+        np.multiply(grad, self.lr, out=update)
+        np.divide(update, scratch, out=update)
+        np.subtract(value, update, out=value)
 
 
 class Adam(Optimizer):
@@ -191,53 +135,51 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        flat: bool = False,
     ) -> None:
-        super().__init__(params, lr, flat=flat)
+        super().__init__(params, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigurationError("betas must lie in [0, 1)")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = [np.zeros_like(v) for v, __ in self._buffers()]
-        self._v = [np.zeros_like(v) for v, __ in self._buffers()]
-        self._scratch = [np.empty_like(v) for v, __ in self._buffers()]
-        self._update = [np.empty_like(v) for v, __ in self._buffers()]
+        self._m = np.zeros_like(self._flat_value)
+        self._v = np.zeros_like(self._flat_value)
+        self._scratch = np.empty_like(self._flat_value)
+        self._update = np.empty_like(self._flat_value)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for (value, grad), m, v, scratch, update in zip(
-            self._buffers(), self._m, self._v, self._scratch, self._update
-        ):
-            # m = beta1 * m + (1 - beta1) * grad
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(grad, 1.0 - self.beta1, out=scratch)
-            np.add(m, scratch, out=m)
-            # v = beta2 * v + (1 - beta2) * grad²
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(grad, grad, out=scratch)
-            np.multiply(scratch, 1.0 - self.beta2, out=scratch)
-            np.add(v, scratch, out=v)
-            # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            np.add(scratch, self.eps, out=scratch)
-            np.divide(m, bias1, out=update)
-            np.multiply(update, self.lr, out=update)
-            np.divide(update, scratch, out=update)
-            np.subtract(value, update, out=value)
+        value, grad = self._flat_value, self._flat_grad
+        m, v, scratch, update = self._m, self._v, self._scratch, self._update
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1.0 - self.beta1, out=scratch)
+        np.add(m, scratch, out=m)
+        # v = beta2 * v + (1 - beta2) * grad²
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, grad, out=scratch)
+        np.multiply(scratch, 1.0 - self.beta2, out=scratch)
+        np.add(v, scratch, out=v)
+        # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, self.eps, out=scratch)
+        np.divide(m, bias1, out=update)
+        np.multiply(update, self.lr, out=update)
+        np.divide(update, scratch, out=update)
+        np.subtract(value, update, out=value)
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm, which training loops can log to detect
-    exploding gradients. Scaling is in place (``*=``), so it composes
-    with flat-buffer optimizers.
+    exploding gradients. Scaling is in place (``*=``), so the gradients
+    stay views of their optimizer's flat buffer.
     """
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be positive")

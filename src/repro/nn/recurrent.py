@@ -8,31 +8,26 @@ backpropagation-through-time in reverse, summing the gradient flowing
 from the output at each step with the gradient arriving from the
 future.
 
-The wrappers do not call ``cell.step`` per timestep anymore: the
-input-side gate projections ``x @ W`` are precomputed for *all*
-timesteps in one gemm before the recurrence, and per-step cache tuples
-are replaced by preallocated ``(batch, time, hidden)`` arrays. The
-forward fusion is **bit-identical** to the per-step loop — slicing the
-reshaped ``(batch*time, features) @ W`` result reproduces the same
-dgemm rows, and the elementwise addition order ``(x@W + h@U) + b`` is
-preserved — so the forward determinism goldens survive unchanged; only
-the per-timestep Python and allocation overhead goes away.
+The wrappers compute the same recurrence without calling ``cell.step``
+per timestep:
 
-``backward`` is *batched BPTT*: the reversed recurrence only computes
-the per-step gate deltas (cheap elementwise ops plus the unavoidable
-``da @ U.T`` hidden back-projections, which feed the previous step),
-stashing them into preallocated ``(batch, time, gates)`` arrays; every
-input-projection gradient — ``dW``, ``d_bias`` and ``d_x`` — plus the
-recurrent-weight gradient ``dU`` is then a single time-stacked gemm
-(or column sum) after the loop. Summing over ``batch*time`` at once
-reorders the floating-point reduction relative to the per-step
-``+=`` accumulation, so batched gradients match the retained
-per-step path (``_backward_per_step_reference``, togglable via
-``batched_backward = False``) to <= 1e-10, not bit-for-bit; the
-pipeline's backward-sensitive hex goldens were regenerated once for
-this change. The cells' ``step`` / ``step_backward`` remain the
-reference semantics, and ``tests/nn/test_fast_kernels.py`` asserts
-the forward bit-identity and the backward equivalence.
+* ``forward`` precomputes the input-side gate projections ``x @ W`` for
+  *all* timesteps in one gemm before the recurrence and stores the
+  activations in preallocated ``(batch, time, hidden)`` arrays instead
+  of per-step cache tuples. Slicing the reshaped
+  ``(batch*time, features) @ W`` result reproduces the same dgemm rows,
+  and the elementwise addition order ``(x@W + h@U) + b`` is preserved,
+  so the outputs are **bit-identical** to unrolling ``cell.step``.
+* ``backward`` is *batched BPTT*: the reversed recurrence only computes
+  the per-step gate deltas (cheap elementwise ops plus the unavoidable
+  ``da @ U.T`` hidden back-projections, which feed the previous step),
+  stashing them into preallocated ``(batch, time, gates)`` arrays; every
+  input-projection gradient — ``dW``, ``d_bias`` and ``d_x`` — plus the
+  recurrent-weight gradient ``dU`` is then a single time-stacked gemm
+  (or column sum) after the loop. Summing over ``batch*time`` at once
+  reorders the floating-point reduction relative to the per-step
+  ``+=`` accumulation of ``cell.step_backward``, so the gradients agree
+  with it to <= 1e-10, not bit-for-bit.
 """
 
 from __future__ import annotations
@@ -44,11 +39,6 @@ from repro.nn.initializers import orthogonal, xavier_uniform, zeros
 from repro.nn.layers import sigmoid
 from repro.nn.module import Module, Parameter
 from repro.rng import RngLike, spawn
-
-#: Initial ``batched_backward`` value of every recurrent wrapper. The
-#: golden-contract test flips this to run the whole publish pipeline on
-#: the per-step reference backward.
-BATCHED_BACKWARD_DEFAULT = True
 
 
 class RNNCell(Module):
@@ -216,7 +206,6 @@ class RNN(Module):
         super().__init__()
         self.cell = RNNCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
-        self.batched_backward = BATCHED_BACKWARD_DEFAULT
         self._fwd: tuple | None = None
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
@@ -251,8 +240,6 @@ class RNN(Module):
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not self.batched_backward:
-            return self._backward_per_step_reference(grad_out)
         grad_out = np.asarray(grad_out, dtype=float)
         batch, steps, __ = grad_out.shape
         if self._fwd is None:
@@ -275,38 +262,13 @@ class RNN(Module):
             np.add(g_tm[t], dh_next, out=da)
             np.multiply(da, d_act[t], out=da)
             dh_next = da @ u_t
-        # reshape of the transposed view copies back to batch-major, so
-        # the stacked gemms see the same row order as the reference.
+        # reshape of the transposed view copies back to batch-major, the
+        # row order of the x and hs_prev reshapes the stacked gemms use.
         flat_da = das.transpose(1, 0, 2).reshape(batch * steps, hidden)
         cell.w.grad += x.reshape(batch * steps, cell.input_size).T @ flat_da
         cell.u.grad += hs_prev.reshape(batch * steps, hidden).T @ flat_da
         cell.b.grad += flat_da.sum(axis=0)
         return (flat_da @ cell.w.value.T).reshape(batch, steps, cell.input_size)
-
-    def _backward_per_step_reference(self, grad_out: np.ndarray) -> np.ndarray:
-        """Pre-batching BPTT: one set of gemms per timestep.
-
-        Kept as the reference semantics for the batched ``backward``;
-        ``tests/nn/test_fast_kernels.py`` asserts the two agree to
-        <= 1e-10 and ``repro bench training_step`` the speedup.
-        """
-        grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
-        if self._fwd is None:
-            raise ConfigurationError("backward called before forward")
-        x, hs_prev, outputs, __tm = self._fwd
-        cell = self.cell
-        dx = np.empty((batch, steps, cell.input_size))
-        dh_next = np.zeros((batch, self.hidden_size))
-        for t in reversed(range(steps)):
-            dh = grad_out[:, t, :] + dh_next
-            da = dh * (1.0 - outputs[:, t, :] ** 2)
-            cell.w.grad += x[:, t, :].T @ da
-            cell.u.grad += hs_prev[:, t, :].T @ da
-            cell.b.grad += da.sum(axis=0)
-            dh_next = da @ cell.u.value.T
-            dx[:, t, :] = da @ cell.w.value.T
-        return dx
 
 
 class GRU(Module):
@@ -316,7 +278,6 @@ class GRU(Module):
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
-        self.batched_backward = BATCHED_BACKWARD_DEFAULT
         self._fwd: tuple | None = None
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
@@ -351,8 +312,6 @@ class GRU(Module):
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not self.batched_backward:
-            return self._backward_per_step_reference(grad_out)
         grad_out = np.asarray(grad_out, dtype=float)
         batch, steps, __ = grad_out.shape
         if self._fwd is None:
@@ -407,52 +366,6 @@ class GRU(Module):
         dx += dr_flat @ cell.w_r.value.T
         return dx.reshape(batch, steps, cell.input_size)
 
-    def _backward_per_step_reference(self, grad_out: np.ndarray) -> np.ndarray:
-        """Pre-batching BPTT: six weight-gradient gemms per timestep."""
-        grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
-        if self._fwd is None:
-            raise ConfigurationError("backward called before forward")
-        x, hs_prev, zs, rs, rhs, ns = self._fwd
-        cell = self.cell
-        dx = np.empty((batch, steps, cell.input_size))
-        dh_next = np.zeros((batch, self.hidden_size))
-        for t in reversed(range(steps)):
-            dh = grad_out[:, t, :] + dh_next
-            x_t = x[:, t, :]
-            h_prev = hs_prev[:, t, :]
-            z = zs[:, t, :]
-            r = rs[:, t, :]
-            rh = rhs[:, t, :]
-            n = ns[:, t, :]
-            dn = dh * (1.0 - z)
-            dz = dh * (h_prev - n)
-            dh_prev = dh * z
-
-            da_n = dn * (1.0 - n**2)
-            cell.w_n.grad += x_t.T @ da_n
-            cell.u_n.grad += rh.T @ da_n
-            cell.b_n.grad += da_n.sum(axis=0)
-            dx_t = da_n @ cell.w_n.value.T
-            drh = da_n @ cell.u_n.value.T
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
-
-            da_z = dz * z * (1.0 - z)
-            da_r = dr * r * (1.0 - r)
-            cell.w_z.grad += x_t.T @ da_z
-            cell.u_z.grad += h_prev.T @ da_z
-            cell.b_z.grad += da_z.sum(axis=0)
-            cell.w_r.grad += x_t.T @ da_r
-            cell.u_r.grad += h_prev.T @ da_r
-            cell.b_r.grad += da_r.sum(axis=0)
-
-            dx_t += da_z @ cell.w_z.value.T + da_r @ cell.w_r.value.T
-            dh_prev += da_z @ cell.u_z.value.T + da_r @ cell.u_r.value.T
-            dh_next = dh_prev
-            dx[:, t, :] = dx_t
-        return dx
-
 
 class LSTM(Module):
     """Unrolled LSTM over ``(batch, time, features)`` inputs."""
@@ -461,7 +374,6 @@ class LSTM(Module):
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
-        self.batched_backward = BATCHED_BACKWARD_DEFAULT
         self._fwd: tuple | None = None
 
     def forward(
@@ -507,8 +419,6 @@ class LSTM(Module):
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not self.batched_backward:
-            return self._backward_per_step_reference(grad_out)
         grad_out = np.asarray(grad_out, dtype=float)
         batch, steps, __ = grad_out.shape
         if self._fwd is None:
@@ -547,49 +457,6 @@ class LSTM(Module):
         cell.u.grad += hs_prev.reshape(batch * steps, hidden).T @ flat_da
         cell.b.grad += flat_da.sum(axis=0)
         return (flat_da @ cell.w.value.T).reshape(batch, steps, cell.input_size)
-
-    def _backward_per_step_reference(self, grad_out: np.ndarray) -> np.ndarray:
-        """Pre-batching BPTT: per-step gate concatenation and gemms."""
-        grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
-        if self._fwd is None:
-            raise ConfigurationError("backward called before forward")
-        x, hs_prev, cs_prev, gates, tanh_cs = self._fwd
-        cell = self.cell
-        hidden = self.hidden_size
-        dx = np.empty((batch, steps, cell.input_size))
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
-        for t in reversed(range(steps)):
-            dh = grad_out[:, t, :] + dh_next
-            i = gates[:, t, :hidden]
-            f = gates[:, t, hidden : 2 * hidden]
-            g = gates[:, t, 2 * hidden : 3 * hidden]
-            o = gates[:, t, 3 * hidden :]
-            tanh_c = tanh_cs[:, t, :]
-            c_prev = cs_prev[:, t, :]
-            do = dh * tanh_c
-            dc_total = dc_next + dh * o * (1.0 - tanh_c**2)
-            di = dc_total * g
-            df = dc_total * c_prev
-            dg = dc_total * i
-            dc_next = dc_total * f
-
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            cell.w.grad += x[:, t, :].T @ da
-            cell.u.grad += hs_prev[:, t, :].T @ da
-            cell.b.grad += da.sum(axis=0)
-            dh_next = da @ cell.u.value.T
-            dx[:, t, :] = da @ cell.w.value.T
-        return dx
 
 
 def _check_sizes(input_size: int, hidden_size: int) -> None:

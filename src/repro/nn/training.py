@@ -34,9 +34,7 @@ def make_windows(
     Implemented on :func:`numpy.lib.stride_tricks.sliding_window_view`:
     consecutive equal-length series (the common case — every quadtree
     level yields same-length segments) are stacked and windowed in one
-    shot, replacing the O(n·w) per-window Python allocation loop.
-    Output is bit-identical to :func:`_make_windows_reference`, window
-    order included.
+    shot; the window order is that of a per-window loop over the series.
     """
     if window <= 0:
         raise ConfigurationError("window must be positive")
@@ -46,7 +44,7 @@ def make_windows(
     index = 0
     while index < len(arrays):
         # Group the maximal run of consecutive same-length series so the
-        # concatenated window order matches the reference loop exactly.
+        # concatenated window order matches a per-series loop exactly.
         length = arrays[index].size
         stop = index + 1
         while stop < len(arrays) and arrays[stop].size == length:
@@ -71,31 +69,6 @@ def make_windows(
         target_parts[0]
     )
     return inputs, targets
-
-
-def _make_windows_reference(
-    series_list: Iterable[np.ndarray], window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The original per-window Python loop, kept as the reference path.
-
-    ``make_windows`` must stay bit-identical to this implementation;
-    ``tests/nn/test_fast_kernels.py`` asserts the equivalence and
-    ``benchmarks/bench_nn_kernels.py`` the speedup.
-    """
-    if window <= 0:
-        raise ConfigurationError("window must be positive")
-    inputs: list[np.ndarray] = []
-    targets: list[float] = []
-    for series in series_list:
-        series = np.asarray(series, dtype=float).ravel()
-        for start in range(len(series) - window):
-            inputs.append(series[start : start + window])
-            targets.append(series[start + window])
-    if not inputs:
-        raise TrainingError(
-            f"no series was long enough to produce a window of size {window}"
-        )
-    return np.asarray(inputs), np.asarray(targets)
 
 
 def iterate_minibatches(
@@ -219,18 +192,9 @@ class Trainer:
                         loss, grad = self.loss_fn(preds, batch_y)
                         self.model.backward(grad)
                         if self.grad_clip:
-                            # Flat optimizers clip their contiguous grad
-                            # buffer in two vector ops; otherwise clip
-                            # the model's parameter list exactly as
-                            # before.
-                            if self.optimizer.flat:
-                                grad_norm = self.optimizer.clip_grad_norm(
-                                    self.grad_clip
-                                )
-                            else:
-                                grad_norm = clip_grad_norm(
-                                    self.model.parameters(), self.grad_clip
-                                )
+                            grad_norm = clip_grad_norm(
+                                self.model.parameters(), self.grad_clip
+                            )
                         self.optimizer.step()
                         metrics.histogram(
                             "nn.step.seconds",

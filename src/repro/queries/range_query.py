@@ -73,25 +73,13 @@ def evaluate_queries(
     Builds one :class:`QueryEngine` over ``matrix`` and answers the
     whole workload with a single vectorized gather; pass a prebuilt
     engine (either as ``matrix`` or via ``engine=``) to reuse its table
-    across workloads over the same matrix. The retained per-query
-    slice-sum path is :func:`_evaluate_queries_reference`.
+    across workloads over the same matrix.
     """
     if engine is None:
         engine = (
             matrix if isinstance(matrix, QueryEngine) else QueryEngine(matrix)
         )
     return engine.evaluate_many(queries)
-
-
-def _evaluate_queries_reference(
-    queries: list[RangeQuery], matrix: "ConsumptionMatrix | np.ndarray"
-) -> np.ndarray:
-    """The original O(volume)-per-query slice sums, kept as reference.
-
-    ``tests/queries/test_engine.py`` asserts the engine agrees with
-    this path and ``repro bench query_engine`` the speedup.
-    """
-    return np.array([q.evaluate(matrix) for q in queries])
 
 
 _MAX_REJECTION_ATTEMPTS = 200

@@ -14,8 +14,7 @@ A :class:`ScalePreset` is pure geometry + training sizes; a
 (``ci``/``paper``/``bench``/``active``) and layers dataset, mechanism
 and workload choices on top. This module lives under
 ``repro.scenarios`` so the scenario layer never has to import the
-experiment runners that consume it; ``repro.experiments.presets``
-re-exports everything for compatibility.
+experiment runners that consume it.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ def load_release(path: str | Path) -> ConsumptionMatrix:
 
     Accepts exactly the files ``repro publish --out`` writes. This is
     the post-processing boundary: the bytes on disk are already
-    sanitized, so the loaded matrix carries no raw-data taint.
+    sanitized, so the loaded matrix carries no raw-data taint. A
+    release holding NaN or infinite values is refused, since every
+    query touching it would answer non-finite.
     """
     path = Path(path)
     if not path.exists():
@@ -50,9 +52,12 @@ def load_release(path: str | Path) -> ConsumptionMatrix:
                 raise ServeError(
                     f"release file {path} has no 'values' array"
                 )
-            return ConsumptionMatrix(archive["values"])
+            matrix = ConsumptionMatrix(archive["values"])
     except (OSError, ValueError) as error:
         raise ServeError(f"unreadable release file {path}: {error}")
+    if not np.all(np.isfinite(matrix.values)):
+        raise ServeError(f"release file {path} holds non-finite values")
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.matrix import build_matrices
 from repro.data.spatial import place_households
 from repro.experiments.harness import build_context
-from repro.experiments.presets import ScalePreset
+from repro.scenarios.presets import ScalePreset
 
 
 TINY_SPEC = DatasetSpec(

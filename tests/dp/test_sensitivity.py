@@ -29,6 +29,12 @@ class TestClipReadings:
         with pytest.raises(DataError):
             clip_readings(np.array([-0.1, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_readings_rejected(self, bad):
+        # np.clip would pass NaN through and map inf onto the bound.
+        with pytest.raises(DataError, match="finite"):
+            clip_readings(np.array([0.5, bad, 3.0]), 2.0)
+
     @pytest.mark.parametrize("clip", [0.0, -1.0, np.nan])
     def test_invalid_clip_factor(self, clip):
         with pytest.raises(DataError):

@@ -12,7 +12,7 @@ from repro.experiments.harness import (
     run_mechanism,
     run_stpt,
 )
-from repro.experiments.presets import CI, PAPER, active_preset
+from repro.scenarios.presets import CI, PAPER, active_preset
 
 
 class TestPresets:

@@ -1,16 +1,14 @@
 """Equivalence tests for the vectorized NN hot kernels.
 
-Three kernels were vectorized for the parallel-execution PR and each
-keeps its pre-vectorization implementation as an executable reference:
+Each kernel is held to its plain-loop oracle in ``tests/oracles.py``:
 
-* ``make_windows`` vs ``_make_windows_reference`` — bit-identical;
-* the fused RNN/GRU/LSTM wrappers (with ``batched_backward`` off) vs
-  per-step ``cell.step`` / ``cell.step_backward`` — bit-identical
-  (same gemm rows, same elementwise addition order);
-* the batched BPTT ``backward`` vs ``_backward_per_step_reference`` —
+* ``make_windows`` vs ``make_windows_reference`` — bit-identical;
+* the fused RNN/GRU/LSTM ``forward`` vs per-step ``cell.step`` —
+  bit-identical (same gemm rows, same elementwise addition order);
+* the batched BPTT ``backward`` vs per-step ``cell.step_backward`` —
   equal to 1e-10 (the time-stacked weight-gradient gemms reassociate
   floating-point sums);
-* batched multi-node roll-out vs ``_rollout_per_node_reference`` —
+* batched multi-node roll-out vs ``rollout_per_node_reference`` —
   equal to a tight absolute tolerance (single-row gemv and batched
   gemm legitimately differ in the last ulp).
 """
@@ -20,11 +18,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pattern import _rollout_per_node_reference
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.models import make_forecaster
 from repro.nn.recurrent import GRU, LSTM, RNN
-from repro.nn.training import _make_windows_reference, make_windows
+from repro.nn.training import make_windows
+
+from tests.oracles import (
+    backward_per_step,
+    forward_per_step,
+    make_windows_reference,
+    rollout_per_node_reference,
+)
+
+#: Grad tolerance of the batched BPTT backward against the per-step
+#: oracle: the time-stacked gemms reassociate floating-point sums, so
+#: equality holds to round-off, not bit-for-bit.
+_BATCHED_BACKWARD_ATOL = 1e-10
 
 
 class TestMakeWindowsEquivalence:
@@ -32,7 +41,7 @@ class TestMakeWindowsEquivalence:
         rng = np.random.default_rng(0)
         series = [rng.random(12) for __ in range(5)]
         fast = make_windows(series, 4)
-        ref = _make_windows_reference(series, 4)
+        ref = make_windows_reference(series, 4)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1], ref[1])
 
@@ -41,7 +50,7 @@ class TestMakeWindowsEquivalence:
         lengths = [9, 9, 4, 17, 17, 17, 5, 9]
         series = [rng.random(n) for n in lengths]
         fast = make_windows(series, 4)
-        ref = _make_windows_reference(series, 4)
+        ref = make_windows_reference(series, 4)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1], ref[1])
 
@@ -49,7 +58,7 @@ class TestMakeWindowsEquivalence:
         rng = np.random.default_rng(2)
         series = [rng.random(3), rng.random(10), rng.random(2)]
         fast = make_windows(series, 4)
-        ref = _make_windows_reference(series, 4)
+        ref = make_windows_reference(series, 4)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1], ref[1])
         assert fast[0].shape == (6, 4)
@@ -61,24 +70,24 @@ class TestMakeWindowsEquivalence:
         assert np.array_equal(targets, [4.0])
 
     def test_all_too_short_raises(self):
-        for fn in (make_windows, _make_windows_reference):
+        for fn in (make_windows, make_windows_reference):
             with pytest.raises(TrainingError):
                 fn([np.arange(3.0)], 4)
 
     def test_empty_series_list_raises(self):
-        for fn in (make_windows, _make_windows_reference):
+        for fn in (make_windows, make_windows_reference):
             with pytest.raises(TrainingError):
                 fn([], 4)
 
     def test_empty_series_entries(self):
         series = [np.array([]), np.arange(6.0), np.array([])]
         fast = make_windows(series, 3)
-        ref = _make_windows_reference(series, 3)
+        ref = make_windows_reference(series, 3)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1], ref[1])
 
     def test_nonpositive_window_raises(self):
-        for fn in (make_windows, _make_windows_reference):
+        for fn in (make_windows, make_windows_reference):
             with pytest.raises(ConfigurationError):
                 fn([np.arange(6.0)], 0)
 
@@ -95,56 +104,20 @@ class TestMakeWindowsEquivalence:
     def test_2d_series_ravels_like_reference(self):
         series = [np.arange(12.0).reshape(3, 4)]
         fast = make_windows(series, 5)
-        ref = _make_windows_reference(series, 5)
+        ref = make_windows_reference(series, 5)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1], ref[1])
-
-
-def _reference_unroll(layer, x, grad):
-    """Per-step forward/backward using the cell, the pre-fusion path."""
-    cell = layer.cell
-    batch, steps, __ = x.shape
-    hidden = layer.hidden_size
-    outputs = np.empty((batch, steps, hidden))
-    caches = []
-    if isinstance(layer, LSTM):
-        state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
-        for t in range(steps):
-            state, cache = cell.step(x[:, t, :], state)
-            caches.append(cache)
-            outputs[:, t, :] = state[0]
-        dx = np.empty_like(x)
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
-        for t in reversed(range(steps)):
-            dh = grad[:, t, :] + dh_next
-            dx_t, dh_next, dc_next = cell.step_backward(dh, dc_next, caches[t])
-            dx[:, t, :] = dx_t
-        return outputs, dx
-    h = np.zeros((batch, hidden))
-    for t in range(steps):
-        h, cache = cell.step(x[:, t, :], h)
-        caches.append(cache)
-        outputs[:, t, :] = h
-    dx = np.empty_like(x)
-    dh_next = np.zeros((batch, hidden))
-    for t in reversed(range(steps)):
-        dh = grad[:, t, :] + dh_next
-        dx_t, dh_next = cell.step_backward(dh, caches[t])
-        dx[:, t, :] = dx_t
-    return outputs, dx
 
 
 @pytest.mark.parametrize("layer_cls", [RNN, GRU, LSTM])
 @pytest.mark.parametrize("shape", [(5, 9, 3, 4), (1, 1, 2, 3), (17, 12, 6, 8)])
 class TestFusedRecurrentWrappers:
     def test_bit_identical_to_per_step_cell(self, layer_cls, shape):
-        # Bit-identity is the per-step backward's contract; the batched
-        # backward reassociates gradient sums and is held to <= 1e-10 by
-        # TestBatchedBackwardEquivalence instead.
+        # The fused forward reproduces the per-step outputs bit for bit;
+        # the batched backward reassociates gradient sums, so it is held
+        # to <= 1e-10.
         batch, steps, features, hidden = shape
         fused = layer_cls(features, hidden, rng=np.random.default_rng(11))
-        fused.batched_backward = False
         reference = layer_cls(features, hidden, rng=np.random.default_rng(11))
         rng = np.random.default_rng(7)
         x = rng.standard_normal((batch, steps, features))
@@ -152,18 +125,21 @@ class TestFusedRecurrentWrappers:
 
         out_fast = fused.forward(x)
         dx_fast = fused.backward(grad)
-        out_ref, dx_ref = _reference_unroll(reference, x, grad)
+        out_ref = forward_per_step(reference, x)
+        dx_ref = backward_per_step(reference, grad)
 
         assert np.array_equal(out_fast, out_ref)
-        assert np.array_equal(dx_fast, dx_ref)
+        np.testing.assert_allclose(
+            dx_fast, dx_ref, rtol=0.0, atol=_BATCHED_BACKWARD_ATOL
+        )
         for fast_p, ref_p in zip(fused.parameters(), reference.parameters()):
-            assert np.array_equal(fast_p.grad, ref_p.grad), fast_p.name
-
-
-#: Grad tolerance of the batched BPTT backward against the per-step
-#: reference: the time-stacked gemms reassociate floating-point sums,
-#: so equality holds to round-off, not bit-for-bit.
-_BATCHED_BACKWARD_ATOL = 1e-10
+            np.testing.assert_allclose(
+                fast_p.grad,
+                ref_p.grad,
+                rtol=0.0,
+                atol=_BATCHED_BACKWARD_ATOL,
+                err_msg=fast_p.name,
+            )
 
 
 @pytest.mark.parametrize("layer_cls", [RNN, GRU, LSTM])
@@ -186,13 +162,13 @@ class TestBatchedBackwardEquivalence:
         grad = rng.standard_normal((batch, steps, hidden))
 
         layer.forward(x)
-        assert layer.batched_backward  # the default fast path
         dx_fast = layer.backward(grad)
         fast_grads = [p.grad.copy() for p in layer.parameters()]
 
         for param in layer.parameters():
             param.grad[...] = 0.0
-        dx_ref = layer._backward_per_step_reference(grad)
+        forward_per_step(layer, x)
+        dx_ref = backward_per_step(layer, grad)
 
         np.testing.assert_allclose(
             dx_fast, dx_ref, rtol=0.0, atol=_BATCHED_BACKWARD_ATOL
@@ -207,8 +183,8 @@ class TestBatchedBackwardEquivalence:
             )
 
     def test_grad_accumulation_matches(self, layer_cls, shape):
-        # Two backward calls must accumulate (+=) into .grad on both
-        # paths, not overwrite it.
+        # Two backward calls must accumulate (+=) into .grad, not
+        # overwrite it.
         batch, steps, features, hidden = shape
         layer = layer_cls(features, hidden, rng=np.random.default_rng(11))
         rng = np.random.default_rng(13)
@@ -240,7 +216,7 @@ def test_batched_rollout_matches_per_node_reference(family):
         param.value += rng.standard_normal(param.value.shape) * 0.05
     seeds = rng.random((16, 6))
     batched = model.predict_autoregressive(seeds, 12, clip=(0.0, 2.0))
-    per_node = _rollout_per_node_reference(model, seeds, 12, clip=(0.0, 2.0))
+    per_node = rollout_per_node_reference(model, seeds, 12, clip=(0.0, 2.0))
     assert batched.shape == per_node.shape == (16, 12)
     # gemv (one row) vs gemm (full batch) may differ in the last ulp;
     # anything beyond ~1e-12 would be a real divergence.

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.nn import optimizers
 from repro.nn.module import Parameter
 from repro.nn.optimizers import SGD, Adam, RMSProp, clip_grad_norm
+
+from tests.oracles import PerParameterAdam, PerParameterRMSProp, PerParameterSGD
 
 
 def quadratic_descent(optimizer_factory, steps=200):
@@ -105,13 +108,24 @@ def _make_params(rng: np.random.Generator) -> list[Parameter]:
     return params
 
 
+#: name -> (flat-buffer optimizer, per-parameter oracle) factories.
 _OPTIMIZER_FACTORIES = {
-    "sgd": lambda params, flat: SGD(params, lr=0.05, flat=flat),
-    "sgd_momentum": lambda params, flat: SGD(
-        params, lr=0.05, momentum=0.9, flat=flat
+    "sgd": (
+        lambda params: SGD(params, lr=0.05),
+        lambda params: PerParameterSGD(params, lr=0.05),
     ),
-    "rmsprop": lambda params, flat: RMSProp(params, lr=1e-3, flat=flat),
-    "adam": lambda params, flat: Adam(params, lr=1e-3, flat=flat),
+    "sgd_momentum": (
+        lambda params: SGD(params, lr=0.05, momentum=0.9),
+        lambda params: PerParameterSGD(params, lr=0.05, momentum=0.9),
+    ),
+    "rmsprop": (
+        lambda params: RMSProp(params, lr=1e-3),
+        lambda params: PerParameterRMSProp(params, lr=1e-3),
+    ),
+    "adam": (
+        lambda params: Adam(params, lr=1e-3),
+        lambda params: PerParameterAdam(params, lr=1e-3),
+    ),
 }
 
 
@@ -119,86 +133,87 @@ _OPTIMIZER_FACTORIES = {
 class TestFlatBufferMode:
     def test_bit_identical_to_per_parameter_steps(self, name):
         # The fused kernels are purely elementwise, so running them over
-        # one contiguous buffer instead of per-parameter slices must
-        # produce the exact same bits.
-        factory = _OPTIMIZER_FACTORIES[name]
+        # one contiguous buffer must produce the exact bits of the
+        # classic formulas applied parameter by parameter.
+        factory, oracle_factory = _OPTIMIZER_FACTORIES[name]
         rng = np.random.default_rng(3)
         grads = [rng.standard_normal((4, 3)), rng.standard_normal((3,)),
                  rng.standard_normal((2, 2)), rng.standard_normal((1,))]
 
         plain = _make_params(np.random.default_rng(5))
         flat = _make_params(np.random.default_rng(5))
-        plain_opt = factory(plain, False)
-        flat_opt = factory(flat, True)
+        oracle = oracle_factory(plain)
+        flat_opt = factory(flat)
 
         for step in range(25):
-            plain_opt.zero_grad()
+            oracle.zero_grad()
             flat_opt.zero_grad()
             for param_list in (plain, flat):
                 for param, grad in zip(param_list, grads):
                     param.grad += (step + 1) * grad
-            plain_opt.step()
+            oracle.step()
             flat_opt.step()
             for plain_p, flat_p in zip(plain, flat):
                 assert np.array_equal(plain_p.value, flat_p.value), plain_p.name
 
     def test_views_alias_the_flat_buffer(self, name):
-        factory = _OPTIMIZER_FACTORIES[name]
+        factory, __ = _OPTIMIZER_FACTORIES[name]
         params = _make_params(np.random.default_rng(7))
-        optimizer = factory(params, True)
+        optimizer = factory(params)
         for param in params:
             assert param.value.base is optimizer._flat_value
             assert param.grad.base is optimizer._flat_grad
             assert param.value.flags.writeable
 
     def test_zero_grad_clears_views(self, name):
-        factory = _OPTIMIZER_FACTORIES[name]
+        factory, __ = _OPTIMIZER_FACTORIES[name]
         params = _make_params(np.random.default_rng(9))
-        optimizer = factory(params, True)
+        optimizer = factory(params)
         for param in params:
             param.grad += 1.0
         optimizer.zero_grad()
         assert all(np.all(p.grad == 0.0) for p in params)
 
 
+@pytest.mark.parametrize("factory", [SGD, RMSProp, Adam])
+def test_flat_keyword_is_gone(factory):
+    with pytest.raises(TypeError):
+        factory([Parameter(np.zeros(1))], flat=True)
+
+
 class TestOptimizerClipGradNorm:
     def test_flat_matches_function_within_ulp(self):
-        # The flat path reassociates the sum of squares (one dot over
-        # the buffer vs a per-parameter Python sum), so norms agree to
-        # round-off rather than bit-for-bit.
-        plain = _make_params(np.random.default_rng(11))
+        # Views into the flat buffer sum and scale exactly like the
+        # same gradients held in standalone arrays.
         flat = _make_params(np.random.default_rng(11))
-        plain_opt = SGD(plain, lr=0.1)
-        flat_opt = SGD(flat, lr=0.1, flat=True)
+        plain = _make_params(np.random.default_rng(11))
+        flat_opt = SGD(flat, lr=0.1)
         for param_list in (plain, flat):
             local = np.random.default_rng(13)
             for param in param_list:
                 param.grad += 10.0 * local.standard_normal(param.grad.shape)
-        norm_plain = plain_opt.clip_grad_norm(1.0)
         norm_flat = flat_opt.clip_grad_norm(1.0)
-        assert norm_flat == pytest.approx(norm_plain, rel=1e-12)
+        norm_plain = clip_grad_norm(plain, 1.0)
+        assert norm_flat == norm_plain
         for plain_p, flat_p in zip(plain, flat):
-            np.testing.assert_allclose(
-                plain_p.grad, flat_p.grad, rtol=1e-12, atol=0.0
-            )
+            assert np.array_equal(plain_p.grad, flat_p.grad), plain_p.name
 
-    def test_per_parameter_mode_delegates_exactly(self):
+    def test_per_parameter_mode_delegates_exactly(self, monkeypatch):
         params = _make_params(np.random.default_rng(15))
-        twins = _make_params(np.random.default_rng(15))
         optimizer = SGD(params, lr=0.1)
-        for param_list in (params, twins):
-            local = np.random.default_rng(17)
-            for param in param_list:
-                param.grad += 10.0 * local.standard_normal(param.grad.shape)
-        norm_method = optimizer.clip_grad_norm(1.0)
-        norm_function = clip_grad_norm(twins, 1.0)
-        assert norm_method == norm_function
-        for param, twin in zip(params, twins):
-            assert np.array_equal(param.grad, twin.grad)
+        calls = []
+
+        def spy(spied_params, max_norm):
+            calls.append((spied_params, max_norm))
+            return 2.5
+
+        monkeypatch.setattr(optimizers, "clip_grad_norm", spy)
+        assert optimizer.clip_grad_norm(1.0) == 2.5
+        assert calls == [(optimizer.params, 1.0)]
 
     def test_below_threshold_untouched(self):
         params = _make_params(np.random.default_rng(19))
-        optimizer = SGD(params, lr=0.1, flat=True)
+        optimizer = SGD(params, lr=0.1)
         for param in params:
             param.grad += 1e-3
         before = [param.grad.copy() for param in params]
@@ -207,7 +222,7 @@ class TestOptimizerClipGradNorm:
             assert np.array_equal(param.grad, kept)
 
     def test_invalid_max_norm(self):
-        optimizer = SGD(_make_params(np.random.default_rng(21)), lr=0.1, flat=True)
+        optimizer = SGD(_make_params(np.random.default_rng(21)), lr=0.1)
         with pytest.raises(ConfigurationError):
             optimizer.clip_grad_norm(0.0)
 

@@ -173,6 +173,22 @@ class TestValidationAndEarlyStopping:
         # restored model cannot be wildly worse than the best epoch
         assert np.isfinite(val_loss)
 
+    def test_restored_weights_stay_on_the_optimizer_buffer(self):
+        # The early-stopping restore copies into the parameter arrays;
+        # rebinding them would leave the optimizer stepping a detached
+        # buffer, so a further step would no longer move the model.
+        inputs, targets = self.make_data()
+        model = GRUForecaster(window=4, embed_dim=6, hidden_dim=6, rng=0)
+        trainer = Trainer(model, epochs=3, validation_fraction=0.25,
+                          patience=2, rng=2)
+        trainer.fit(inputs, targets)
+        before = [p.value.copy() for p in model.parameters()]
+        for param in model.parameters():
+            param.grad[...] = 1.0
+        trainer.optimizer.step()
+        for kept, param in zip(before, model.parameters()):
+            assert not np.array_equal(kept, param.value), param.name
+
     def test_invalid_validation_fraction(self):
         model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,11 @@
 """Tests for the prefix-sum :class:`QueryEngine` and ``query_bounds``.
 
-The engine's contract against :meth:`RangeQuery.evaluate` is agreement
-to floating-point round-off (corner differences reassociate the slice
-sum); ``evaluate`` vs ``evaluate_many`` on identical queries is
-bit-identity (same expression order element-wise).
+The engine's contract against :meth:`RangeQuery.evaluate` slice sums,
+and against the whole-workload oracle ``evaluate_queries_reference`` in
+``tests/oracles.py``, is agreement to floating-point round-off (corner
+differences reassociate the slice sum); ``evaluate`` vs
+``evaluate_many`` on identical queries is bit-identity (same
+expression order element-wise).
 """
 
 import numpy as np
@@ -22,6 +24,8 @@ from repro.queries.range_query import (
     random_queries,
     small_queries,
 )
+
+from tests.oracles import evaluate_queries_reference
 
 #: Slice sums and corner differences agree to round-off of the table
 #: magnitudes; for O(100) entries of O(1) values this is plenty.
@@ -146,9 +150,11 @@ class TestEvaluateMany:
         values = rng.random((6, 6, 8))
         queries = _random_workload(values.shape, rng=7)
         engine = QueryEngine(values)
+        answers = evaluate_queries(queries, values)
+        assert np.array_equal(answers, engine.evaluate_many(queries))
         np.testing.assert_allclose(
-            evaluate_queries(queries, values),
-            engine.evaluate_many(queries),
+            answers,
+            evaluate_queries_reference(queries, values),
             rtol=0.0,
             atol=_ATOL,
         )

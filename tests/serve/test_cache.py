@@ -45,6 +45,17 @@ class TestLoadRelease:
         with pytest.raises(ServeError, match="unreadable"):
             load_release(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_a_serve_error(self, tmp_path, bad):
+        # Served as-is, such a release would answer every query touching
+        # the cell with a non-finite number.
+        values = np.ones((2, 2, 3))
+        values[1, 0, 2] = bad
+        path = tmp_path / "non-finite.npz"
+        np.savez(path, values=values)
+        with pytest.raises(ServeError, match="non-finite"):
+            load_release(path)
+
 
 class TestReleaseCache:
     def test_capacity_must_be_positive(self):
