@@ -11,13 +11,30 @@ Run:  python examples/battery_placement.py
 
 import numpy as np
 
-from repro import STPT, STPTConfig, build_matrices
+from repro import STPT, RangeQuery, STPTConfig, build_matrices
 from repro.core.pattern import PatternConfig
 from repro.data import generate_dataset
-from repro.grid import Battery, Consumer, PowerNetwork
 
 GRID = (16, 16)
 T_TRAIN = 40
+
+#: Consumers owning renewable sources, by name and grid cell (x, y).
+CONSUMERS = {"NW-1": (2, 2), "NW-2": (3, 2), "SE-1": (12, 12), "SE-2": (13, 13)}
+
+
+def group_surplus(names, sanitized, horizon) -> float:
+    """A group's surplus: its minimum bounding rectangle over the release.
+
+    This is the construction of Section 3.2, so no raw data is touched.
+    """
+    xs = [CONSUMERS[name][0] for name in names]
+    ys = [CONSUMERS[name][1] for name in names]
+    mbr = RangeQuery(
+        x0=min(xs), x1=max(xs) + 1,
+        y0=min(ys), y1=max(ys) + 1,
+        t0=horizon[0], t1=horizon[1],
+    )
+    return mbr.evaluate(sanitized)
 
 
 def main() -> None:
@@ -41,37 +58,33 @@ def main() -> None:
         pattern=PatternConfig(epochs=6, embed_dim=16, hidden_dim=16),
     )
     release = STPT(config, rng=22).publish(norm, clip_scale=clip)
-    print(f"sanitized release: {release.sanitized_kwh.shape}, "
+    sanitized = release.sanitized_kwh
+    print(f"sanitized release: {sanitized.shape}, "
           f"ε = {release.epsilon_spent:.0f}")
 
-    # The planner's network: one battery currently serving a cold
-    # north-west group; a hot south-east group is unserved.
-    network = PowerNetwork()
-    cold_group = [Consumer("NW-1", 2, 2), Consumer("NW-2", 3, 2)]
-    hot_group = [Consumer("SE-1", 12, 12), Consumer("SE-2", 13, 13)]
-    for consumer in cold_group + hot_group:
-        network.add_consumer(consumer)
-    network.add_battery(Battery("B1", 3, 3, capacity=4))
-    for consumer in cold_group:
-        network.assign(consumer.name, "B1")
+    # The planner's view: battery B1 serves a cold north-west group; a
+    # hot south-east group is unserved.
+    cold_group, hot_group = ["NW-1", "NW-2"], ["SE-1", "SE-2"]
+    b1_serves = list(cold_group)
 
-    horizon = (0, release.sanitized_kwh.n_steps)
+    horizon = (0, sanitized.n_steps)
     print("\nestimated group surplus from the private release:")
     for label, group in [("north-west", cold_group), ("south-east", hot_group)]:
-        surplus = network.group_surplus(
-            [c.name for c in group], release.sanitized_kwh, horizon
-        )
+        surplus = group_surplus(group, sanitized, horizon)
         print(f"  {label:>10s}: {surplus:10.1f} kWh")
 
-    steps = network.rebalance(release.sanitized_kwh, horizon, group_size=2)
+    # The Figure 3(b) revision: B1 swaps its group for the unserved one
+    # when the unserved group's estimated surplus is strictly higher.
+    old_surplus = group_surplus(b1_serves, sanitized, horizon)
+    new_surplus = group_surplus(hot_group, sanitized, horizon)
     print("\nreassignment decisions:")
-    if not steps:
+    if new_surplus > old_surplus:
+        print(f"  battery B1: drop {b1_serves} ({old_surplus:.0f} kWh) "
+              f"-> gain {hot_group} ({new_surplus:.0f} kWh)")
+        b1_serves = list(hot_group)
+    else:
         print("  (no move was justified)")
-    for step in steps:
-        print(f"  battery {step.battery}: drop {step.dropped} "
-              f"({step.old_surplus:.0f} kWh) -> gain {step.gained} "
-              f"({step.new_surplus:.0f} kWh)")
-    print(f"\nB1 now serves: {network.consumers_of('B1')}")
+    print(f"\nB1 now serves: {b1_serves}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ A full reproduction of Shaham et al., EDBT 2025. The package layers:
   recognition, k-quantization, optimal sanitization);
 * :mod:`repro.baselines`   — Identity, FAST, Fourier, Wavelet, LGAN-DP
   and WPO benchmarks;
-* :mod:`repro.grid`        — the power-network planning use case;
 * :mod:`repro.audit`       — adversarial evaluation: empirical ε lower
   bounds, membership/pattern-inference attacks and the privacy-utility
   frontier;

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.data.matrix import ConsumptionMatrix
 from repro.dp.budget import BudgetAccountant
+from repro.dp.sensitivity import require_finite
 from repro.exceptions import ConfigurationError, PrivacyError
 from repro.obs import get_tracer
 from repro.pipeline import ArtifactStore, Pipeline, PublicationResult, Stage
@@ -130,6 +131,7 @@ class Mechanism(abc.ABC):
         STPT phase does. Output is bit-identical to calling
         :meth:`sanitize` directly with the same generator.
         """
+        require_finite(norm_matrix.values, "normalized consumption matrix")
         if epsilon <= 0:
             raise PrivacyError(f"epsilon must be positive, got {epsilon}")
         accountant = BudgetAccountant(epsilon)

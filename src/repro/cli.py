@@ -416,15 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (repeatable)",
     )
     lint.add_argument("--config", help="explicit pyproject.toml path")
-    lint.add_argument(
-        "--flow", dest="flow", action="store_true", default=None,
-        help="run the interprocedural flow rules (DP100-DP102, RNG100, "
-        "RNG101, PURE001)",
-    )
-    lint.add_argument(
-        "--no-flow", dest="flow", action="store_false",
-        help="skip the flow rules even if the config enables them",
-    )
     lint.add_argument("--list-rules", action="store_true")
 
     return parser
@@ -870,10 +861,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--select", chunk]
     if args.config:
         argv += ["--config", args.config]
-    if args.flow is True:
-        argv.append("--flow")
-    elif args.flow is False:
-        argv.append("--no-flow")
     if args.list_rules:
         argv.append("--list-rules")
     return lint_main(argv)

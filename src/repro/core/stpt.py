@@ -52,6 +52,7 @@ from repro.core.quantization import PartitionSet, k_quantize
 from repro.core.sanitizer import SanitizationResult, sanitize_by_partitions
 from repro.data.matrix import ConsumptionMatrix
 from repro.dp.budget import BudgetAccountant
+from repro.dp.sensitivity import require_finite
 from repro.exceptions import ConfigurationError, DataError
 from repro.obs import get_tracer
 from repro.parallel.executor import execute
@@ -86,8 +87,11 @@ class STPTConfig:
     shard_depth: int = 0
 
     def __post_init__(self) -> None:
-        if self.epsilon_pattern <= 0 or self.epsilon_sanitize <= 0:
-            raise ConfigurationError("privacy budgets must be positive")
+        budgets = (self.epsilon_pattern, self.epsilon_sanitize)
+        if not all(np.isfinite(eps) and eps > 0 for eps in budgets):
+            raise ConfigurationError(
+                f"privacy budgets must be positive and finite, got {budgets}"
+            )
         if self.t_train <= 0:
             raise ConfigurationError("t_train must be positive")
         if self.quantization_levels <= 0:
@@ -324,7 +328,7 @@ def _shard_config(config: STPTConfig, shard_shape: tuple[int, int]) -> STPTConfi
 
 
 def _shard_task(payload: tuple) -> dict:
-    """Self-contained single-shard publish body (RNG002-clean).
+    """Self-contained single-shard publish body (RNG100-clean).
 
     The payload carries a :class:`numpy.random.SeedSequence` child —
     never a live generator — plus the disk ``cache_dir``; the worker
@@ -401,14 +405,17 @@ class STPT:
         """
         config = self.config
         values = norm_matrix.values
+        require_finite(values, "normalized consumption matrix")
         total_steps = norm_matrix.n_steps
         if config.t_train >= total_steps:
             raise DataError(
                 f"t_train ({config.t_train}) must be smaller than the "
                 f"matrix horizon ({total_steps})"
             )
-        if clip_scale <= 0:
-            raise ConfigurationError("clip_scale must be positive")
+        if not np.isfinite(clip_scale) or clip_scale <= 0:
+            raise ConfigurationError(
+                f"clip_scale must be positive and finite, got {clip_scale}"
+            )
         if config.shard_depth > 0:
             if stage_rngs is not None:
                 raise ConfigurationError(

@@ -18,6 +18,18 @@ import numpy as np
 from repro.exceptions import DataError
 
 
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`DataError` if any cell of ``values`` is NaN or ±inf.
+
+    The ε-DP calibration assumes bounded cells, so a publish checks its
+    input with this before any budget is charged: a NaN would spread
+    through the release and an infinity would be clipped to a finite
+    but meaningless value.
+    """
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{what} must be finite (found NaN or infinite cells)")
+
+
 def clip_readings(readings: np.ndarray, clip_factor: float) -> np.ndarray:
     """Clip meter readings into ``[0, clip_factor]``.
 
@@ -29,8 +41,7 @@ def clip_readings(readings: np.ndarray, clip_factor: float) -> np.ndarray:
     if not np.isfinite(clip_factor) or clip_factor <= 0:
         raise DataError(f"clip_factor must be positive, got {clip_factor!r}")
     readings = np.asarray(readings, dtype=float)
-    if not np.all(np.isfinite(readings)):
-        raise DataError("meter readings must be finite")
+    require_finite(readings, "meter readings")
     if readings.size and readings.min() < 0:
         raise DataError("meter readings must be non-negative")
     return np.clip(readings, 0.0, clip_factor)
@@ -100,5 +111,6 @@ __all__ = [
     "NormalizationParams",
     "min_max_normalize",
     "min_max_denormalize",
+    "require_finite",
     "unit_cell_sensitivity",
 ]

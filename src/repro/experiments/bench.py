@@ -473,7 +473,7 @@ def bench_trace_overhead(workers: int | None = None) -> dict:
 def bench_lint_flow(workers: int | None = None) -> dict:
     """Wall-clock cost of the interprocedural privacy flow analysis.
 
-    ``repro lint --flow`` runs in CI on every commit, so the
+    ``repro lint`` runs in CI on every commit, so the
     whole-program pass (symbol table + call graph + summary fixpoint +
     findings walk over ``src`` and ``tests``) must stay cheap enough to
     sit on the tier-1 path. The benchmark runs the real linter with the
@@ -489,7 +489,7 @@ def bench_lint_flow(workers: int | None = None) -> dict:
     config = load_config(start=root)
     paths = [root / "src", root / "tests"]
 
-    result = run_lint(paths, config=config, flow=True)
+    result = run_lint(paths, config=config)
     if result.findings:
         raise AssertionError(
             f"flow lint expected a clean tree, got {len(result.findings)} "
@@ -501,7 +501,7 @@ def bench_lint_flow(workers: int | None = None) -> dict:
         )
 
     seconds = _best_of(
-        lambda: run_lint(paths, config=config, flow=True), repeats=2
+        lambda: run_lint(paths, config=config), repeats=2
     )
     if seconds > _LINT_FLOW_MAX_SECONDS:
         raise AssertionError(

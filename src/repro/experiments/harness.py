@@ -311,7 +311,7 @@ def _publish_sweep_point(
 def _sweep_point_task(payload: tuple) -> STPTResult:
     """Self-contained sweep-point body for process-pool workers.
 
-    The payload carries plain seeds (never live generators — RNG002)
+    The payload carries plain seeds (never live generators — RNG100)
     plus the disk ``cache_dir``; the worker rebuilds its own store so
     only the lock-protected disk tier is shared between processes.
     """

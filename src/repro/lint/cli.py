@@ -58,20 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit pyproject.toml (default: nearest one above the cwd)",
     )
     parser.add_argument(
-        "--flow",
-        dest="flow",
-        action="store_true",
-        default=None,
-        help="run the interprocedural flow rules (DP100-DP102, RNG100, "
-        "PURE001) regardless of the config's flow setting",
-    )
-    parser.add_argument(
-        "--no-flow",
-        dest="flow",
-        action="store_false",
-        help="skip the flow rules even if the config enables them",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule with its rationale and exit",
@@ -117,7 +103,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             explicit=Path(args.config) if args.config else None
         )
         paths = [Path(p) for p in args.paths] if args.paths else None
-        result = run_lint(paths, config=config, enable=enable, flow=args.flow)
+        result = run_lint(paths, config=config, enable=enable)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR

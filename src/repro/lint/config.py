@@ -5,7 +5,6 @@ The configuration is deliberately small:
 * ``include`` — root-relative paths linted when the CLI gets none;
 * ``exclude`` — root-relative patterns always skipped;
 * ``enable``  — rule ids to run (every registered rule when omitted);
-* ``flow``    — run the interprocedural flow rules (DP100…, PURE001);
 * ``[tool.repro-lint.rules.<ID>]`` — per-rule tables; the ``allow``
   key replaces the rule's built-in allow-list of sanctioned paths.
 
@@ -34,7 +33,6 @@ class LintConfig:
     include: tuple[str, ...] = DEFAULT_INCLUDE
     exclude: tuple[str, ...] = ()
     enable: tuple[str, ...] | None = None
-    flow: bool = False
     rule_options: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
 
     def rule_allow(self, rule_id: str, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -69,9 +67,6 @@ def config_from_mapping(root: Path, data: Mapping[str, Any]) -> LintConfig:
     enable = _string_tuple(table, "enable", where)
     if enable is not None:
         enable = tuple(rule_id.upper() for rule_id in enable)
-    flow = table.get("flow", False)
-    if not isinstance(flow, bool):
-        raise ConfigurationError(f"{where}.flow must be a boolean")
     rules_table = table.get("rules", {})
     if not isinstance(rules_table, Mapping):
         raise ConfigurationError("[tool.repro-lint.rules] must be a table")
@@ -87,7 +82,6 @@ def config_from_mapping(root: Path, data: Mapping[str, Any]) -> LintConfig:
         include=include,
         exclude=exclude,
         enable=enable,
-        flow=flow,
         rule_options=rule_options,
     )
 

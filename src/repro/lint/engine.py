@@ -8,8 +8,8 @@ the benchmark. The pipeline is deliberately linear:
    findings — an uncheckable file must fail the run);
 2. run each enabled rule, skipping files on the rule's allow-list
    (built-in default, overridable per rule in ``pyproject.toml``).
-   Flow rules (``requires_flow``) only run when flow analysis is
-   enabled — by config, by ``--flow``, or by being explicitly selected;
+   The interprocedural flow analysis is built by the first flow rule
+   that runs, so a syntactic-only selection never pays for it;
 3. drop findings answered by a ``# lint: disable=RULE`` comment on the
    offending line (or ``disable-file`` anywhere in the file);
 4. return the surviving findings sorted by location, plus *warnings*:
@@ -119,15 +119,11 @@ def run_lint(
     paths: Sequence[Path | str] | None = None,
     config: LintConfig | None = None,
     enable: Iterable[str] | None = None,
-    flow: bool | None = None,
 ) -> LintResult:
     """Lint ``paths`` (default: the config's include paths).
 
     ``enable`` narrows the rule set for this run; otherwise the
     config's ``enable`` list (or every registered rule) applies.
-    ``flow`` turns interprocedural flow rules on or off, overriding the
-    config's ``flow`` key; rules named explicitly in ``enable`` always
-    run, flow or not.
     """
     if config is None:
         config = LintConfig(root=Path.cwd())
@@ -143,9 +139,8 @@ def run_lint(
                 f"path(s) do not exist: {', '.join(missing)}"
             )
     project = Project.from_paths(config.root, target_paths, config.exclude)
-    explicit = enable is not None
     known = set(registered_rule_ids())
-    if explicit:
+    if enable is not None:
         requested = [rule_id.upper() for rule_id in enable]
         unknown = sorted(set(requested) - known)
         if unknown:
@@ -164,9 +159,6 @@ def run_lint(
     else:
         requested = None
     rules = create_rules(requested)
-    flow_enabled = flow if flow is not None else config.flow
-    if not flow_enabled and not explicit:
-        rules = [rule for rule in rules if not rule.requires_flow]
 
     raw: list[Finding] = [
         Finding(

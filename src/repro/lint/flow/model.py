@@ -1,9 +1,11 @@
 """The source / sanitizer / sink model the taint rules check against.
 
-The tables come from three places, merged by :func:`build_model`:
+The tables come from three places:
 
 1. **Built-ins** — language- and library-level facts that hold in any
-   repo: ``print`` is a stdout sink, ``open(...).write`` and
+   repo, kept as the module constants below (``SINK_METHODS``,
+   ``EXTERNAL_SINKS``, ``GENERATOR_MAKERS``, ``NONDETERMINISTIC``):
+   ``print`` is a stdout sink, ``open(...).write`` and
    ``Path.write_text`` are file sinks, ``default_rng``/``ensure_rng``
    make live generators.
 2. **In-tree declarations** — modules that *own* a privacy-relevant
@@ -23,6 +25,9 @@ The tables come from three places, merged by :func:`build_model`:
    sanitizer, mirroring how ``MECHANISM_REGISTRY`` registers concrete
    mechanisms at import time. A property test asserts the static table
    and the runtime registry never drift.
+
+The last two depend on the project, so :func:`build_model` resolves them
+into a :class:`FlowModel` per lint run.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ SINK_KINDS = (
 )
 
 #: Method names that are sinks when the receiver looks the part.
-_SINK_METHODS: Mapping[str, str] = {
+SINK_METHODS: Mapping[str, str] = {
     "put": "artifact-store",       # guarded by a store-ish receiver
     "set_attribute": "trace-span",
     "write": "file",
@@ -57,12 +62,11 @@ _SINK_METHODS: Mapping[str, str] = {
     "write_bytes": "file",
 }
 
-#: Identifier tokens marking a ``.put`` receiver as an artifact store
-#: (mirrors DP003's heuristic so the two rules agree on what a store is).
+#: Identifier tokens marking a ``.put`` receiver as an artifact store.
 _STORE_TOKENS = frozenset({"store", "cache", "artifact", "artifacts"})
 
 #: External dotted calls that write values out of the process.
-_EXTERNAL_SINKS: Mapping[str, str] = {
+EXTERNAL_SINKS: Mapping[str, str] = {
     "json.dump": "file",
     "numpy.save": "file",
     "numpy.savetxt": "file",
@@ -73,10 +77,10 @@ _EXTERNAL_SINKS: Mapping[str, str] = {
 }
 
 #: Calls whose result is a live ``np.random.Generator``.
-_GENERATOR_MAKERS = frozenset({"default_rng", "ensure_rng", "task_generator"})
+GENERATOR_MAKERS = frozenset({"default_rng", "ensure_rng", "task_generator"})
 
 #: Dotted chains whose call makes a stage function nondeterministic.
-_NONDETERMINISTIC = frozenset(
+NONDETERMINISTIC = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -111,6 +115,7 @@ def is_budget_param(name: str | None) -> bool:
 
 
 def is_storeish_name(name: str | None) -> bool:
+    """Does an identifier plausibly denote an artifact store (DP003, DP100)?"""
     if not name:
         return False
     if name == "ArtifactStore":
@@ -126,12 +131,6 @@ class FlowModel:
     sanitizers: frozenset[str] = frozenset()
     noise_sources: frozenset[str] = frozenset()
     sinks: Mapping[str, str] = field(default_factory=dict)
-    sink_methods: Mapping[str, str] = field(default_factory=lambda: dict(_SINK_METHODS))
-    external_sinks: Mapping[str, str] = field(
-        default_factory=lambda: dict(_EXTERNAL_SINKS)
-    )
-    generator_makers: frozenset[str] = _GENERATOR_MAKERS
-    nondeterministic: frozenset[str] = _NONDETERMINISTIC
 
     def is_sanitizer(self, qualname: str | None) -> bool:
         return qualname is not None and qualname in self.sanitizers
@@ -180,7 +179,7 @@ def _declared_entries(module: ModuleInfo) -> dict[str, list[str]]:
 
 
 def build_model(project: Project, symbols: SymbolTable) -> FlowModel:
-    """Merge built-ins, in-tree declarations and registry-derived facts."""
+    """Merge in-tree declarations and registry-derived sanitizers."""
     sources: set[str] = set()
     sanitizers: set[str] = set()
     noise_sources: set[str] = set()
@@ -222,9 +221,13 @@ def _registry_sanitizers(symbols: SymbolTable) -> set[str]:
 
 
 __all__ = [
+    "EXTERNAL_SINKS",
     "FlowModel",
+    "GENERATOR_MAKERS",
     "MECHANISM_BASE",
+    "NONDETERMINISTIC",
     "SINK_KINDS",
+    "SINK_METHODS",
     "build_model",
     "is_budget_param",
     "is_storeish_name",

@@ -6,9 +6,9 @@ runs once per lint invocation regardless of how many flow rules are
 enabled. Each rule just selects its findings by id; the detection
 logic lives in :mod:`repro.lint.flow.summaries`.
 
-They are gated behind ``requires_flow``: the runner skips them unless
-flow analysis is enabled (``flow = true`` in ``[tool.repro-lint]``,
-``repro lint --flow``, or an explicit ``--select``).
+They run on every lint invocation that enables them (all of them by
+default). The analysis is built on first use, so a run that selects
+only syntactic rules (``--select DP001``) never builds the call graph.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.lint.registry import Rule, RuleOptions, register
 
 class _FlowRule(Rule):
     """Shared plumbing: pull this rule's findings from the analysis."""
-
-    requires_flow = True
 
     def check_project(
         self, project: Project, options: RuleOptions
@@ -88,16 +86,20 @@ class DataDependentBudget(_FlowRule):
 
 
 @register
-class GeneratorCrossesExecutorIndirectly(_FlowRule):
+class GeneratorCrossesExecutor(_FlowRule):
     id = "RNG100"
-    title = "live Generator crosses an executor boundary via indirection"
+    title = "live np.random.Generator crosses an executor boundary"
     rationale = (
-        "RNG002 catches a generator passed directly into a submission "
-        "call; this is its interprocedural closure. A generator returned "
-        "by a helper, stored in a container, or forwarded through a "
-        "wrapper that submits it is still pickled into the worker, "
-        "forking its state and destroying replay determinism. Ship a "
-        "seed and rebuild with repro.parallel.task_generator instead."
+        "Pickling a live Generator into a worker forks its state: parent "
+        "and worker replay the same stream, correlating 'independent' "
+        "noise and making results depend on worker count. The rule "
+        "follows generators into submission payloads (passed directly, "
+        "built inside the payload, hidden in a container, returned by a "
+        "helper, or forwarded through a wrapper that submits them) and "
+        "into submitted lambdas and functions that capture one from the "
+        "scope that defines them. Ship a seed (repro.rng.derive_seed / "
+        "SeedSequence.spawn) and rebuild with "
+        "repro.parallel.task_generator inside the task."
     )
     default_allow = ()
 
@@ -137,7 +139,7 @@ class ImpureStageFunction(_FlowRule):
 
 __all__ = [
     "DataDependentBudget",
-    "GeneratorCrossesExecutorIndirectly",
+    "GeneratorCrossesExecutor",
     "ImpureStageFunction",
     "MechanismNotDominatedByCharge",
     "RawDataReachesSink",

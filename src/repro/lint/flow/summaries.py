@@ -31,7 +31,15 @@ from repro.lint.flow.lattice import (
     Taint,
     join_all,
 )
-from repro.lint.flow.model import FlowModel, is_budget_param, is_storeish_name
+from repro.lint.flow.model import (
+    EXTERNAL_SINKS,
+    GENERATOR_MAKERS,
+    NONDETERMINISTIC,
+    SINK_METHODS,
+    FlowModel,
+    is_budget_param,
+    is_storeish_name,
+)
 from repro.lint.flow.symbols import ClassDecl, SymbolTable, param_names
 from repro.lint.project import ModuleInfo
 from repro.lint.rules.common import dotted_chain, identifier_of, source_of
@@ -46,8 +54,7 @@ FALLBACK_SANITIZER_METHODS = frozenset(
 ACCOUNTANT_CHECKED_METHODS = frozenset({"sanitize", "sanitize_tree"})
 
 #: ``.submit``-style methods that always dispatch work to workers, and
-#: dispatch methods only trusted on executor-ish receivers (mirrors
-#: RNG002 so the two rules agree on what a submission is).
+#: dispatch methods only trusted on executor-ish receivers.
 _SUBMIT_METHODS = frozenset({"submit", "apply_async"})
 _GUARDED_METHODS = frozenset({"map", "run", "starmap", "imap", "imap_unordered"})
 
@@ -112,6 +119,9 @@ class FunctionSummary:
     #: dispatch site, so its own seed spawning is the blessed pattern
     #: and does not taint callers
     submits_tasks: bool = False
+    #: free names the body reads that hold a live generator in the
+    #: defining scope; submitting the function pickles them (RNG100)
+    captured_generators: frozenset[str] = frozenset()
     impure: tuple[Impurity, ...] = ()
 
     def sink_kinds_of(self, param: str) -> tuple[str, ...]:
@@ -155,6 +165,7 @@ class FunctionAnalyzer:
         self.constructs = False
         self.spawns_seeds = False
         self.submits = False
+        self.captured: frozenset[str] = frozenset()
         self.impure: list[Impurity] = []
         self._param_names: tuple[str, ...] = ()
         self._param_set: frozenset[str] = frozenset()
@@ -204,6 +215,12 @@ class FunctionAnalyzer:
             self._pass_index = index
             self.impure = []
             self._exec_block(body)
+        # A free name resolves in the defining scope (copied into env as
+        # outer_env), else among the module globals.
+        scope = {**self.module_env, **self.env}
+        generators = {name for name, taint in scope.items() if taint.is_generator}
+        if generators:  # most bodies see no generator: skip the AST walk
+            self.captured = frozenset(generators & _free_names(node))
         return self._summary()
 
     def analyze_module_body(self) -> dict[str, Taint]:
@@ -228,6 +245,7 @@ class FunctionAnalyzer:
         self.constructs = False
         self.spawns_seeds = False
         self.submits = False
+        self.captured = frozenset()
         self.impure = []
         self._pass_index = 0
 
@@ -249,6 +267,7 @@ class FunctionAnalyzer:
             constructs_accountant=self.constructs,
             spawns_seeds=self.spawns_seeds,
             submits_tasks=self.submits,
+            captured_generators=self.captured,
             impure=tuple(self.impure),
         )
 
@@ -597,10 +616,10 @@ class FunctionAnalyzer:
             return "stdout"
         if chain is not None:
             dotted = ".".join(chain)
-            if dotted in self.model.external_sinks:
-                return self.model.external_sinks[dotted]
+            if dotted in EXTERNAL_SINKS:
+                return EXTERNAL_SINKS[dotted]
         if isinstance(call.func, ast.Attribute):
-            method_kind = self.model.sink_methods.get(call.func.attr)
+            method_kind = SINK_METHODS.get(call.func.attr)
             if method_kind == "artifact-store":
                 return (
                     method_kind
@@ -777,7 +796,7 @@ class FunctionAnalyzer:
         if chain is None:
             return False
         tail = chain[-1]
-        if tail in self.model.generator_makers:
+        if tail in GENERATOR_MAKERS:
             return True
         if tail == "Generator" and len(chain) >= 2 and chain[-2] == "random":
             return True
@@ -794,8 +813,23 @@ class FunctionAnalyzer:
         arg_taints: list[Taint],
         kw_taints: dict[str | None, Taint],
     ) -> None:
-        """RNG100/RNG101 — payloads and task bodies at a submission site."""
-        task_summary = self._stage_fn_summary(call.args[0])
+        """RNG100/RNG101 — the task and payloads at a submission site."""
+        task = call.args[0]
+        task_summary = self._stage_fn_summary(task)
+        if task_summary is not None and task_summary.captured_generators:
+            name = (
+                "lambda"
+                if isinstance(task, ast.Lambda)
+                else f"function {source_of(task)!r}"
+            )
+            self._finding(
+                "RNG100",
+                task,
+                f"{name} submitted via {label} captures live generator(s) "
+                f"{sorted(task_summary.captured_generators)} from the scope "
+                "that defines it; pickling forks their state — pass a seed "
+                "payload and rebuild with repro.parallel.task_generator",
+            )
         if (
             task_summary is not None
             and task_summary.spawns_seeds
@@ -815,29 +849,31 @@ class FunctionAnalyzer:
             (kw.value, kw_taints[kw.arg]) for kw in call.keywords
         ]
         for expr, taint in payloads:
-            if taint.is_generator and not self._direct_generator(expr):
-                self._finding(
-                    "RNG100",
-                    expr,
-                    f"value passed as a {label} payload holds a live "
-                    "np.random.Generator (reaching here through helper "
-                    "indirection); pickling forks its state — ship a seed "
-                    "(repro.rng.derive_seed) and rebuild with "
-                    "repro.parallel.task_generator in the worker",
-                )
+            if taint.is_generator:
+                self._finding("RNG100", expr, self._payload_message(expr, label))
             for origin in taint.params & self._param_set:
                 self.submit_params.add(origin)
 
-    def _direct_generator(self, expr: ast.expr) -> bool:
-        """Cases RNG002 already reports — avoid double findings."""
-        if not isinstance(expr, ast.Call):
-            return False
-        chain = dotted_chain(expr.func)
-        if chain is None:
-            return False
-        tail = chain[-1]
-        return tail in ("default_rng", "ensure_rng", "task_generator") or (
-            tail == "Generator" and len(chain) >= 2 and chain[-2] == "random"
+    def _payload_message(self, expr: ast.expr, label: str) -> str:
+        names = sorted(
+            {
+                sub.id
+                for sub in ast.walk(expr)
+                if isinstance(sub, ast.Name)
+                and self.env.get(
+                    sub.id, self.module_env.get(sub.id, EMPTY)
+                ).is_generator
+            }
+        )
+        if names:
+            what = f"live generator(s) {names} passed as a {label} payload"
+        else:
+            what = f"live generator constructed inside a {label} payload"
+        return (
+            f"{what} crosses the process boundary; pickling forks its "
+            "state — ship a seed (repro.rng.derive_seed / "
+            "SeedSequence.spawn) and rebuild with "
+            "repro.parallel.task_generator in the worker"
         )
 
     def _note_impure_call(
@@ -850,7 +886,7 @@ class FunctionAnalyzer:
             candidates.add(".".join(chain[-2:]))
         if len(chain) == 1:
             candidates.add(chain[0])
-        hit = candidates & self.model.nondeterministic
+        hit = candidates & NONDETERMINISTIC
         if hit:
             self.impure.append(
                 Impurity(
@@ -942,6 +978,22 @@ class FunctionAnalyzer:
         # nested definition in the scope has been seen once.
         if self.emit is not None and self._pass_index == 1:
             self.emit(rule_id, node, message)
+
+
+def _free_names(fn: ast.AST) -> set[str]:
+    """Names a function or lambda reads without binding them itself."""
+    loaded: set[str] = set()
+    bound: set[str] = set()
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.arg):
+            bound.add(sub.arg)
+        elif isinstance(sub, ast.Name):
+            (loaded if isinstance(sub.ctx, ast.Load) else bound).add(sub.id)
+        elif sub is not fn and isinstance(
+            sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            bound.add(sub.name)
+    return loaded - bound
 
 
 def module_mutable_globals(module: ModuleInfo) -> frozenset[str]:

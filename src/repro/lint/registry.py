@@ -39,9 +39,6 @@ class Rule:
     title: ClassVar[str] = ""
     rationale: ClassVar[str] = ""
     default_allow: ClassVar[tuple[str, ...]] = ()
-    #: Rule needs the interprocedural flow analysis; the runner skips it
-    #: unless flow is enabled or the rule is explicitly selected.
-    requires_flow: ClassVar[bool] = False
 
     def check_module(
         self, module: ModuleInfo, options: RuleOptions

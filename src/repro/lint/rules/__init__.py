@@ -2,7 +2,7 @@
 
 from repro.lint.flow.rules import (
     DataDependentBudget,
-    GeneratorCrossesExecutorIndirectly,
+    GeneratorCrossesExecutor,
     ImpureStageFunction,
     MechanismNotDominatedByCharge,
     RawDataReachesSink,
@@ -23,7 +23,7 @@ __all__ = [
     "DataDependentBudget",
     "EpsilonArithmeticRule",
     "FloatEqualityRule",
-    "GeneratorCrossesExecutorIndirectly",
+    "GeneratorCrossesExecutor",
     "GlobalRngRule",
     "ImpureStageFunction",
     "InlineScenarioConfigRule",

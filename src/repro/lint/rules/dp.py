@@ -15,6 +15,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.findings import Finding
+from repro.lint.flow.model import is_storeish_name
 from repro.lint.project import ModuleInfo, path_matches
 from repro.lint.registry import Rule, RuleOptions, register
 from repro.lint.rules.common import (
@@ -134,9 +135,6 @@ class EpsilonArithmeticRule(Rule):
                 )
 
 
-#: Identifier tokens marking a ``.put`` receiver as an artifact store.
-STORE_TOKENS = frozenset({"store", "cache", "artifact", "artifacts"})
-
 #: Modules whose code draws calibrated noise; cache writes from here are
 #: categorically suspect regardless of call-site shape.
 DP_MODULE_PREFIXES = ("src/repro/dp",)
@@ -146,12 +144,7 @@ def _is_storeish(node: ast.expr) -> bool:
     """Does this expression plausibly denote an artifact store?"""
     if isinstance(node, ast.Call):
         return identifier_of(node.func) == "ArtifactStore"
-    name = identifier_of(node)
-    if not name:
-        return False
-    if name == "ArtifactStore":
-        return True
-    return any(token in STORE_TOKENS for token in name.lower().split("_"))
+    return is_storeish_name(identifier_of(node))
 
 
 def _store_put_calls(root: ast.AST) -> Iterable[ast.Call]:
@@ -270,5 +263,4 @@ __all__ = [
     "NoisePrimitiveRule",
     "DP_MODULE_PREFIXES",
     "NOISE_PRIMITIVES",
-    "STORE_TOKENS",
 ]

@@ -1,4 +1,4 @@
-"""RNG001/RNG002 — numpy RNG discipline, statically enforced.
+"""RNG001 — numpy RNG discipline, statically enforced.
 
 ``repro.rng`` gives every stochastic component the same contract: an
 optional ``rng`` argument coerced by ``ensure_rng``, so experiments are
@@ -9,14 +9,10 @@ being a pure function of the seed, and DP noise can end up correlated
 with unrelated draws. RNG001 turns the module docstring convention
 into a checked invariant.
 
-RNG002 extends the discipline across process boundaries: a live
-``np.random.Generator`` handed to an executor-submitted function (as a
-payload, or captured by a closure/lambda) is silently forked by
-pickling — parent and worker then replay the *same* stream, so "noise"
-drawn twice is correlated and worker count changes the results. The
-sanctioned pattern is to ship plain seeds (``repro.rng.derive_seed`` or
-``np.random.SeedSequence.spawn``) and rebuild the generator inside the
-worker via ``repro.parallel.task_generator``.
+The process-boundary half of the discipline — a live
+``np.random.Generator`` pickled into an executor-submitted task — is the
+flow rule RNG100 (:mod:`repro.lint.flow.rules`), which sees generators
+through helpers, containers and closures alike.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Iterable
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleInfo
 from repro.lint.registry import Rule, RuleOptions, register
-from repro.lint.rules.common import dotted_chain, finding_at, identifier_of
+from repro.lint.rules.common import dotted_chain, finding_at
 
 #: numpy.random attributes that are constructors, not global-state draws.
 _CONSTRUCTION_API = frozenset(
@@ -110,283 +106,4 @@ class GlobalRngRule(Rule):
         )
 
 
-#: Calls whose result is a live ``np.random.Generator``.
-_GENERATOR_MAKERS = frozenset({"default_rng", "ensure_rng", "task_generator"})
-
-#: ``.submit``-style methods that always dispatch work to workers.
-_SUBMIT_METHODS = frozenset({"submit", "apply_async"})
-
-#: Dispatch methods that are only flagged on executor-ish receivers
-#: (``.map``/``.run`` are too common to match unconditionally).
-_GUARDED_METHODS = frozenset(
-    {"map", "run", "starmap", "imap", "imap_unordered"}
-)
-
-
-def _is_generator_call(node: ast.Call) -> bool:
-    """Does this call expression construct a live Generator?"""
-    chain = dotted_chain(node.func)
-    if chain is None:
-        return False
-    tail = chain[-1]
-    if tail in _GENERATOR_MAKERS:
-        return True
-    # np.random.Generator(bitgen) / numpy.random.Generator(bitgen)
-    return tail == "Generator" and len(chain) >= 2 and chain[-2] == "random"
-
-
-def _is_executorish(expr: ast.expr) -> bool:
-    """Receivers we trust to be process pools or repro executors."""
-    name = identifier_of(expr)
-    if name and ("executor" in name.lower() or "pool" in name.lower()):
-        return True
-    if isinstance(expr, ast.Call):
-        callee = identifier_of(expr.func)
-        return bool(
-            callee
-            and (callee.endswith("Executor") or callee == "get_executor")
-        )
-    return False
-
-
-def _submission_of(node: ast.Call) -> str | None:
-    """A human label if ``node`` dispatches work to workers, else None."""
-    if not node.args:
-        return None
-    func = node.func
-    if isinstance(func, ast.Name):
-        return "execute()" if func.id == "execute" else None
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr in _SUBMIT_METHODS:
-        return f".{func.attr}()"
-    if func.attr in _GUARDED_METHODS and _is_executorish(func.value):
-        return f".{func.attr}()"
-    return None
-
-
-class _Scope:
-    """One lexical scope: which names are bound here, which hold RNGs."""
-
-    def __init__(self, node: ast.AST, parent: "_Scope | None") -> None:
-        self.node = node
-        self.parent = parent
-        self.bound: set[str] = set()
-        self.generators: set[str] = set()
-        self.functions: dict[str, ast.AST] = {}
-
-    def resolves_to_generator(self, name: str) -> bool:
-        scope: _Scope | None = self
-        while scope is not None:
-            if name in scope.bound:
-                return name in scope.generators
-            scope = scope.parent
-        return False
-
-    def function_named(self, name: str) -> ast.AST | None:
-        scope: _Scope | None = self
-        while scope is not None:
-            if name in scope.functions:
-                return scope.functions[name]
-            if name in scope.bound:
-                return None
-            scope = scope.parent
-        return None
-
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _scope_arg_names(node: ast.AST) -> set[str]:
-    args = node.args
-    names = {a.arg for a in args.args + args.posonlyargs + args.kwonlyargs}
-    for special in (args.vararg, args.kwarg):
-        if special is not None:
-            names.add(special.arg)
-    return names
-
-
-def _loaded_names(node: ast.AST) -> set[str]:
-    return {
-        sub.id
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-    }
-
-
-def _locally_bound(node: ast.AST) -> set[str]:
-    """Over-approximate the names a function scope binds itself."""
-    bound = _scope_arg_names(node)
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                bound.add(sub.id)
-            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                bound.add(sub.name)
-    return bound
-
-
-@register
-class ExecutorCapturedRngRule(Rule):
-    """RNG002 — live Generator crossing an executor process boundary."""
-
-    id = "RNG002"
-    title = "np.random.Generator captured into an executor-submitted task"
-    rationale = (
-        "Pickling a live Generator into a worker forks its state: parent "
-        "and worker replay the same stream, correlating 'independent' "
-        "noise and making results depend on worker count. Ship seeds "
-        "(repro.rng.derive_seed / SeedSequence.spawn) and rebuild with "
-        "repro.parallel.task_generator inside the task."
-    )
-    default_allow: tuple[str, ...] = ()
-
-    def check_module(
-        self, module: ModuleInfo, options: RuleOptions
-    ) -> Iterable[Finding]:
-        root = _Scope(module.tree, None)
-        yield from self._walk(module, module.tree.body, root)
-
-    # -- scope construction -------------------------------------------------
-
-    def _walk(
-        self, module: ModuleInfo, body: list[ast.stmt], scope: _Scope
-    ) -> Iterable[Finding]:
-        self._collect_bindings(body, scope)
-        for stmt in body:
-            yield from self._visit(module, stmt, scope)
-
-    def _collect_bindings(self, body: list[ast.stmt], scope: _Scope) -> None:
-        """Record this scope's own bindings, not nested functions'."""
-        stack: list[ast.AST] = list(body)
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope.bound.add(sub.name)
-                scope.functions[sub.name] = sub
-                continue  # its body is a child scope
-            if isinstance(sub, ast.Lambda):
-                continue
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                scope.bound.add(sub.id)
-            elif isinstance(sub, ast.Assign) and isinstance(
-                sub.value, ast.Call
-            ):
-                if _is_generator_call(sub.value):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            scope.generators.add(target.id)
-            stack.extend(ast.iter_child_nodes(sub))
-
-    def _visit(
-        self, module: ModuleInfo, node: ast.AST, scope: _Scope
-    ) -> Iterable[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            child = _Scope(node, scope)
-            child.bound |= _scope_arg_names(node)
-            yield from self._walk(module, node.body, child)
-            return
-        if isinstance(node, ast.Call):
-            yield from self._check_submission(module, node, scope)
-        for sub in ast.iter_child_nodes(node):
-            yield from self._visit(module, sub, scope)
-
-    # -- the actual checks --------------------------------------------------
-
-    def _check_submission(
-        self, module: ModuleInfo, node: ast.Call, scope: _Scope
-    ) -> Iterable[Finding]:
-        label = _submission_of(node)
-        if label is None:
-            return
-        task = node.args[0]
-        yield from self._check_task(module, node, task, scope, label)
-        payloads = list(node.args[1:]) + [kw.value for kw in node.keywords]
-        for payload in payloads:
-            yield from self._check_payload(module, payload, scope, label)
-
-    def _check_task(
-        self,
-        module: ModuleInfo,
-        call: ast.Call,
-        task: ast.expr,
-        scope: _Scope,
-        label: str,
-    ) -> Iterable[Finding]:
-        if isinstance(task, ast.Lambda):
-            captured = self._captured_generators(task, scope)
-            if captured:
-                yield finding_at(
-                    module,
-                    task,
-                    self.id,
-                    f"lambda submitted via {label} captures live "
-                    f"generator(s) {sorted(captured)}; pass a seed payload "
-                    "and rebuild with repro.parallel.task_generator",
-                )
-            return
-        if isinstance(task, ast.Name):
-            target = scope.function_named(task.id)
-            if target is not None:
-                captured = self._captured_generators(target, scope)
-                if captured:
-                    yield finding_at(
-                        module,
-                        call,
-                        self.id,
-                        f"function {task.id!r} submitted via {label} "
-                        f"captures live generator(s) {sorted(captured)} "
-                        "from an enclosing scope; pass a seed payload and "
-                        "rebuild with repro.parallel.task_generator",
-                    )
-
-    def _check_payload(
-        self,
-        module: ModuleInfo,
-        payload: ast.expr,
-        scope: _Scope,
-        label: str,
-    ) -> Iterable[Finding]:
-        for sub in ast.walk(payload):
-            if isinstance(sub, ast.Call) and _is_generator_call(sub):
-                yield finding_at(
-                    module,
-                    sub,
-                    self.id,
-                    f"live generator constructed inside a {label} payload "
-                    "crosses the process boundary; send a seed and rebuild "
-                    "with repro.parallel.task_generator in the worker",
-                )
-            elif (
-                isinstance(sub, ast.Name)
-                and isinstance(sub.ctx, ast.Load)
-                and scope.resolves_to_generator(sub.id)
-            ):
-                yield finding_at(
-                    module,
-                    sub,
-                    self.id,
-                    f"live generator {sub.id!r} passed as a {label} payload "
-                    "crosses the process boundary; send a seed "
-                    "(repro.rng.derive_seed / SeedSequence.spawn) and "
-                    "rebuild with repro.parallel.task_generator",
-                )
-
-    def _captured_generators(
-        self, fn_node: ast.AST, defining_scope: _Scope
-    ) -> set[str]:
-        """Generator names a function reads from enclosing scopes."""
-        local = _locally_bound(fn_node)
-        return {
-            name
-            for name in _loaded_names(fn_node) - local
-            if defining_scope.resolves_to_generator(name)
-        }
-
-
-__all__ = ["ExecutorCapturedRngRule", "GlobalRngRule"]
+__all__ = ["GlobalRngRule"]

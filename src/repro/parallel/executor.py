@@ -9,7 +9,7 @@ The contract both executors share:
 * randomness enters only through seeds carried *inside* payloads
   (ints or :class:`numpy.random.SeedSequence` children, see
   :mod:`repro.parallel.seeds`), never through a generator captured in a
-  closure — lint rule RNG002 polices exactly this.
+  closure or passed as a payload — lint rule RNG100 polices exactly this.
 
 Under those rules a run with N workers is bit-identical to a run with
 one worker: the serial executor is not a degraded mode but the

@@ -4,7 +4,7 @@ A live :class:`numpy.random.Generator` must never be captured into a
 task submitted to an executor: its state would be *copied* into every
 worker, all tasks would draw the same stream, and the result would
 depend on how work was sharded. The sound pattern — enforced by lint
-rule RNG002 — is to derive one :class:`numpy.random.SeedSequence` per
+rule RNG100 — is to derive one :class:`numpy.random.SeedSequence` per
 task **before** dispatch via :func:`spawn_seed_sequences` and construct
 the generator *inside* the task.
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines.identity import Identity
 from repro.core.pattern import PatternConfig
 from repro.core.stpt import STPT, STPTConfig
 from repro.data.matrix import ConsumptionMatrix
+from repro.dp.budget import BudgetAccountant
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -40,6 +42,10 @@ class TestConfig:
             dict(t_train=0),
             dict(quantization_levels=0),
             dict(rollout="bogus"),
+            dict(epsilon_pattern=np.nan),
+            dict(epsilon_sanitize=np.nan),
+            dict(epsilon_pattern=np.inf),
+            dict(epsilon_sanitize=-np.inf),
         ],
     )
     def test_invalid(self, kwargs):
@@ -117,6 +123,60 @@ class TestPublish:
         result = STPT(tiny_config(), rng=0).publish(norm_matrix)
         assert result.elapsed_seconds > 0
         assert result.pattern_result.training_seconds > 0
+
+
+def _with_cell(matrix, value):
+    values = matrix.values.copy()
+    values[1, 2, 3] = value
+    return ConsumptionMatrix(values)
+
+
+@pytest.fixture()
+def charges(monkeypatch):
+    """Every BudgetAccountant.spend/spend_parallel call, by method name."""
+    calls = []
+    for method in ("spend", "spend_parallel"):
+        original = getattr(BudgetAccountant, method)
+
+        def record(self, *args, _method=method, _original=original, **kwargs):
+            calls.append(_method)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BudgetAccountant, method, record)
+    return calls
+
+
+class TestMalformedInputSpendsNothing:
+    """Non-finite input is a typed error raised before any ε is charged."""
+
+    @pytest.mark.parametrize("shard_depth", [0, 1])
+    @pytest.mark.parametrize(
+        "cell, clip_scale, error",
+        [
+            pytest.param(np.nan, 1.0, DataError, id="nan-cell"),
+            pytest.param(np.inf, 1.0, DataError, id="inf-cell"),
+            pytest.param(-np.inf, 1.0, DataError, id="neg-inf-cell"),
+            pytest.param(None, np.nan, ConfigurationError, id="nan-clip"),
+            pytest.param(None, np.inf, ConfigurationError, id="inf-clip"),
+        ],
+    )
+    def test_publish(
+        self, norm_matrix, charges, shard_depth, cell, clip_scale, error
+    ):
+        matrix = norm_matrix if cell is None else _with_cell(norm_matrix, cell)
+        stpt = STPT(tiny_config(shard_depth=shard_depth), rng=0)
+        with pytest.raises(error, match="finite"):
+            stpt.publish(matrix, clip_scale=clip_scale)
+        assert charges == []
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_identity_baseline(self, norm_matrix, charges, cell):
+        with pytest.raises(DataError, match="finite"):
+            Identity().run(_with_cell(norm_matrix, cell), epsilon=1.0, rng=0)
+        assert charges == []
+        # Control: the spy does see the charge of a well-formed run.
+        Identity().run(norm_matrix, epsilon=1.0, rng=0)
+        assert charges
 
 
 class TestUtilityAgainstIdentity:

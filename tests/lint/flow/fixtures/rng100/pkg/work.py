@@ -1,5 +1,5 @@
 """Seeded RNG100 violations: generators crossing executor boundaries
-through helper indirection (the interprocedural closure of RNG002).
+through helper indirection, which only the interprocedural pass sees.
 
 ``run_container`` hides the generator in a list payload;
 ``run_via_wrapper`` forwards one through a helper whose parameter is

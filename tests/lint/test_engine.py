@@ -180,7 +180,7 @@ class TestRegistry:
     def test_all_issue_rules_registered(self):
         assert set(registered_rule_ids()) == {
             "DP001", "DP002", "DP003", "NUM001", "OBS001", "PY001", "PY002",
-            "RNG001", "RNG002", "SCN001",
-            # interprocedural flow rules (requires_flow)
+            "RNG001", "SCN001",
+            # interprocedural flow rules
             "DP100", "DP101", "DP102", "RNG100", "RNG101", "PURE001",
         }

@@ -104,6 +104,13 @@ class TestLintCli:
         assert code == EXIT_ERROR
         assert "do not exist" in capsys.readouterr().err
 
+    def test_flow_switch_is_gone(self, project, capsys):
+        # Flow rules run on every invocation; there is no switch for them.
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(project / "src"), "--flow"])
+        assert exit_info.value.code == EXIT_ERROR
+        assert "unrecognized arguments: --flow" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out

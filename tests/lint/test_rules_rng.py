@@ -1,4 +1,4 @@
-"""RNG001/RNG002 — numpy RNG discipline rules."""
+"""RNG001 and RNG100 — numpy RNG discipline rules."""
 
 
 class TestGlobalRngRule:
@@ -106,7 +106,7 @@ class TestExecutorCapturedRngRule:
                 rng = np.random.default_rng(seed)
                 return executor.submit(task, rng)
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert [f.line for f in result.findings] == [5]
         assert "'rng'" in result.findings[0].message
@@ -122,7 +122,7 @@ class TestExecutorCapturedRngRule:
                 payloads = 0
                 return pool.map(task, [(item, generator) for item in items])
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert [f.line for f in result.findings] == [6]
 
@@ -134,7 +134,7 @@ class TestExecutorCapturedRngRule:
             def fan_out(executor, task, seed):
                 return executor.submit(task, np.random.default_rng(seed))
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert len(result.findings) == 1
         assert "constructed inside" in result.findings[0].message
@@ -154,7 +154,7 @@ class TestExecutorCapturedRngRule:
 
                 return ParallelExecutor(2).run(task, seeds)
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert [f.line for f in result.findings] == [11]
         assert "'task'" in result.findings[0].message
@@ -168,7 +168,7 @@ class TestExecutorCapturedRngRule:
                 rng = np.random.default_rng(3)
                 return executor.map(lambda x: x + rng.normal(), items)
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert [f.line for f in result.findings] == [5]
         assert "lambda" in result.findings[0].message
@@ -190,7 +190,7 @@ class TestExecutorCapturedRngRule:
                 seeds = [derive_seed(generator) for __ in values]
                 return execute(task, list(zip(values, seeds)), workers=2)
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert result.ok
 
@@ -208,7 +208,7 @@ class TestExecutorCapturedRngRule:
             def fan_out(executor, seeds):
                 return [executor.submit(task, seed) for seed in seeds]
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert result.ok
 
@@ -226,7 +226,7 @@ class TestExecutorCapturedRngRule:
                 subprocess.run(["echo", "hi"], check=True)
                 return series.map(lambda x: x + generator.normal())
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert result.ok
 
@@ -245,6 +245,53 @@ class TestExecutorCapturedRngRule:
                 seed = int(rng.integers(2**32))
                 return executor.submit(task, seed)
             """,
-            rule="RNG002",
+            rule="RNG100",
         )
         assert result.ok
+
+    def test_module_function_reads_module_scope_not_submitter(
+        self, lint_snippet
+    ):
+        # ``task`` reads the module global SCALE; the submitting
+        # function's local SCALE generator is not in its scope.
+        result = lint_snippet(
+            """\
+            import numpy as np
+
+            SCALE = 2.0
+
+
+            def task(x):
+                return SCALE * x
+
+
+            def fan_out(executor, items):
+                SCALE = np.random.default_rng(0)
+                return executor.submit(task, items)
+            """,
+            rule="RNG100",
+        )
+        assert result.ok
+
+    def test_module_function_capturing_module_generator_flagged(
+        self, lint_snippet
+    ):
+        result = lint_snippet(
+            """\
+            import numpy as np
+
+            NOISE = np.random.default_rng(0)
+
+
+            def task(x):
+                return NOISE.normal() + x
+
+
+            def fan_out(executor, items):
+                return executor.submit(task, items)
+            """,
+            rule="RNG100",
+        )
+        assert [f.line for f in result.findings] == [11]
+        assert "'task'" in result.findings[0].message
+        assert "'NOISE'" in result.findings[0].message

@@ -20,8 +20,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_shipped_tree_is_lint_clean():
     config = load_config(start=REPO_ROOT)
     assert config.root == REPO_ROOT
-    # The repo config turns the interprocedural flow pass on (DP100+).
-    assert config.flow is True
     result = run_lint(
         [REPO_ROOT / "src", REPO_ROOT / "tests"], config=config
     )

@@ -1,4 +1,4 @@
-"""Lint-run warnings: suppression audit, unknown rule ids, flow gating.
+"""Lint-run warnings: suppression audit, unknown rule ids, flow rules.
 
 Warnings never change the exit code, but the self-clean test holds the
 tree to zero of them — so their semantics are pinned here: a directive
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.lint.config import LintConfig
 from repro.lint.engine import run_lint
 from tests.lint.conftest import write_module
@@ -18,7 +20,7 @@ from tests.lint.conftest import write_module
 LEAK = 'rng.laplace(0.0, scale)'
 
 
-def _lint(tmp_path, source, enable, flow=None, config_kwargs=None):
+def _lint(tmp_path, source, enable, config_kwargs=None):
     write_module(tmp_path, "src/pkg/mod.py", textwrap.dedent(source))
     kwargs = dict(
         root=tmp_path,
@@ -27,9 +29,7 @@ def _lint(tmp_path, source, enable, flow=None, config_kwargs=None):
     )
     kwargs.update(config_kwargs or {})
     config = LintConfig(**kwargs)
-    return run_lint(
-        [tmp_path / "src"], config=config, enable=enable, flow=flow
-    )
+    return run_lint([tmp_path / "src"], config=config, enable=enable)
 
 
 class TestSuppressionAudit:
@@ -144,8 +144,6 @@ class TestConfigWarnings:
         assert "'NOPE99'" in warnings
 
     def test_explicit_unknown_selection_is_an_error(self, tmp_path):
-        import pytest
-
         from repro.exceptions import ConfigurationError
 
         write_module(tmp_path, "src/pkg/mod.py", "x = 1\n")
@@ -182,29 +180,32 @@ class TestFlowGating:
                 root=tmp_path,
                 include=("src",),
                 rule_options={"DP100": {"allow": []}},
-                **kw.pop("config_kwargs", {}),
             ),
             **kw,
         )
 
-    def test_flow_rules_skipped_by_default(self, tmp_path):
+    def test_flow_rules_run_by_default(self, tmp_path):
         lint = self._write(tmp_path)
         result = lint()
-        assert not any(f.rule == "DP100" for f in result.findings)
-
-    def test_config_flow_true_runs_flow_rules(self, tmp_path):
-        lint = self._write(tmp_path)
-        result = lint(config_kwargs={"flow": True})
         assert any(f.rule == "DP100" for f in result.findings)
-
-    def test_flow_argument_overrides_config(self, tmp_path):
-        lint = self._write(tmp_path)
-        result = lint(config_kwargs={"flow": True}, flow=False)
-        assert not any(f.rule == "DP100" for f in result.findings)
 
     def test_explicit_enable_always_runs_flow_rule(self, tmp_path):
         lint = self._write(tmp_path)
-        result = lint(enable=["DP100"])  # no flow flag anywhere
+        result = lint(enable=["DP100"])
         [finding] = result.findings
         assert finding.rule == "DP100"
         assert finding.path == "src/pkg/use.py"
+
+    def test_syntactic_selection_never_builds_the_call_graph(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.lint.flow.callgraph import CallGraph
+
+        def refuse(symbols):
+            raise AssertionError("flow analysis built for a syntactic run")
+
+        lint = self._write(tmp_path)
+        monkeypatch.setattr(CallGraph, "build", staticmethod(refuse))
+        assert lint(enable=["DP001", "PY001"]).ok
+        with pytest.raises(AssertionError, match="syntactic run"):
+            lint()

@@ -102,7 +102,7 @@ class TestParallelExecutor:
             return captured.random() + x
 
         with pytest.raises(ConfigurationError, match="self-contained"):
-            ParallelExecutor(2).run(closure, [1.0])  # lint: disable=RNG002 -- deliberately submits a generator-capturing closure to assert the pickling error
+            ParallelExecutor(2).run(closure, [1.0])  # lint: disable=RNG100 -- deliberately submits a generator-capturing closure to assert the pickling error
 
 
 class TestExecuteHelper:
