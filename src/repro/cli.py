@@ -15,7 +15,7 @@ Examples::
     python -m repro publish --data cer.npz --scenario fig6-cer --out out.npz
     python -m repro bench --list
     python -m repro bench parallel_sweep --workers 4
-    python -m repro bench serving --trend
+    python -m repro bench trace_overhead --trend
     python -m repro pipeline run --data ca.npz --grid 16 --t-train 40 \
         --cache-dir .repro-cache
     python -m repro pipeline inspect --cache-dir .repro-cache
@@ -359,12 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=8,
         help="how many release engines stay hot (LRU beyond that)",
     )
-    srun.add_argument(
-        "--batch-window", type=float, default=0.001,
-        help="seconds concurrent /query requests wait to share one "
-        "evaluate_many gather (0 disables coalescing)",
-    )
-    srun.add_argument("--max-batch", type=int, default=256)
     srun.add_argument(
         "--max-requests", type=int, default=None,
         help="stop after serving this many requests (default: forever)",
@@ -818,8 +812,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_capacity=args.cache_size,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         max_requests=args.max_requests,
     )
 

@@ -45,6 +45,7 @@ from repro.core.pattern import PatternConfig, PatternRecognizer, PatternResult
 from repro.core.quadtree import (
     GridShard,
     max_depth_for_grid,
+    segment_length,
     shard_grid,
     tile_shards,
 )
@@ -327,6 +328,34 @@ def _shard_config(config: STPTConfig, shard_shape: tuple[int, int]) -> STPTConfi
     )
 
 
+def _check_windows_fit(config: STPTConfig, grid_shape: tuple[int, int]) -> None:
+    """Reject a publish whose level series cannot make one training window.
+
+    Level 0 holds exactly ``segment_length(t_train, depth)`` points (Eq.
+    8) and no level holds more, while a training window needs more than
+    ``window`` points. So this is precisely the publish pattern-train
+    would reject, caught here before pattern-noise charges any ε. The
+    depth is the one the pipeline trains: the configured or grid-derived
+    depth, or on the sharded path the depth capped to the shard shape.
+    """
+    if config.shard_depth > 0:
+        shard_shape = shard_grid(grid_shape, config.shard_depth)[0].shape
+        depth = _shard_config(config, shard_shape).pattern.depth
+    elif config.pattern.depth is None:
+        depth = max_depth_for_grid(grid_shape)
+    else:
+        depth = config.pattern.depth
+    window = config.pattern.window
+    length = segment_length(config.t_train, depth)
+    if length <= window:
+        raise ConfigurationError(
+            f"t_train={config.t_train} at quadtree depth {depth} gives a "
+            f"segment length of {length} (Eq. 8), which does not exceed the "
+            f"training window of {window}: no level series can make a "
+            f"window; raise t_train or lower the depth or the window"
+        )
+
+
 def _shard_task(payload: tuple) -> dict:
     """Self-contained single-shard publish body (RNG100-clean).
 
@@ -416,6 +445,7 @@ class STPT:
             raise ConfigurationError(
                 f"clip_scale must be positive and finite, got {clip_scale}"
             )
+        _check_windows_fit(config, norm_matrix.grid_shape)
         if config.shard_depth > 0:
             if stage_rngs is not None:
                 raise ConfigurationError(

@@ -1,12 +1,11 @@
 """Named benchmarks behind ``repro bench``.
 
 Each benchmark drives one subsystem — the parallel sweep, the sharded
-publish, the serving stack, the tracer, the flow linter or the audit
-suite — verifies its outputs (bit-identity across worker counts,
-bit-identical served answers, zero lint findings, every audit gate)
-before any timing counts, and returns a JSON-serializable payload. The
-CLI stamps the payload with the current commit and writes it to
-``BENCH_<name>.json``. The end-to-end wall time of a publish and of
+publish, the tracer, the flow linter or the audit suite — verifies its
+outputs (bit-identity across worker counts, zero lint findings, every
+audit gate) before any timing counts, and returns a JSON-serializable
+payload. The CLI stamps the payload with the current commit and writes
+it to ``BENCH_<name>.json``. The end-to-end wall time of a publish and of
 serving is measured by ``perfbench/``, not here.
 
 Speedup assertions are honest about the hardware: the parallel-sweep
@@ -30,7 +29,6 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.harness import build_scenario_context, run_stpt_many
 from repro.experiments.trend import Threshold
 from repro.obs import Metrics, NullTracer, Tracer, use_metrics, use_tracer
-from repro.queries.engine import QueryEngine
 from repro.scenarios import resolve_scenario
 
 BENCHMARKS: dict[str, Callable[..., dict]] = {}
@@ -44,8 +42,6 @@ _SWEEP_SPEEDUP_FLOOR = 2.0
 _SWEEP_CORE_FLOOR = 4
 #: Intra-publish sharding floor at paper scale, same core gate.
 _SHARDED_SPEEDUP_FLOOR = 4.0
-#: Warm batched serving floor over cold per-request engine builds.
-_SERVING_SPEEDUP_FLOOR = 5.0
 #: Ceiling on the instrumentation share of sweep wall time (NullTracer).
 _TRACE_OVERHEAD_CEILING = 0.02
 #: Whole-tree interprocedural lint pass must stay CI-friendly.
@@ -218,129 +214,6 @@ def bench_sharded_publish(workers: int = 4) -> dict:
         "bit_identical": True,
         "epsilon_exact": True,
         "speedup_asserted": asserted,
-    }
-
-
-@register(
-    "serving",
-    threshold=f">= {_SERVING_SPEEDUP_FLOOR}x requests/sec: warm "
-    "micro-batched serving vs cold per-request engine construction on "
-    "the same mixed workload; batched answers bit-identical",
-    metrics=("speedup",),
-    floor=_SERVING_SPEEDUP_FLOOR,
-)
-def bench_serving(workers: int | None = None) -> dict:
-    """Warm batched HTTP serving vs cold per-request engine builds.
-
-    The scenario (``bench-serving``) fixes the paper geometry: one
-    released 32x32x120 matrix and the 3x300-query mixed workload. The
-    cold side models the pre-``repro.serve`` world — every request
-    constructs a fresh :class:`QueryEngine` (the O(volume) cumsum
-    table) and answers one query. The warm side runs the real server:
-    one hot engine in the :class:`ReleaseCache`, N keep-alive
-    connections, and the micro-batching loop coalescing concurrent
-    requests into single ``evaluate_many`` gathers — full HTTP framing
-    and JSON round-trips included in its timing. Answers from both
-    sides are checked bit-identical against a direct
-    ``evaluate_many`` over the same bounds before any timing counts.
-    """
-    import asyncio
-    import tempfile
-
-    from repro.serve import (
-        ReleaseServer,
-        ServeConfig,
-        mixed_workload_bounds,
-        run_load_async,
-    )
-
-    del workers  # single-process benchmark; kept for a uniform signature
-    resolved = resolve_scenario("bench-serving")
-    shape = (*resolved.preset.grid_shape, resolved.preset.t_test)
-    seed = resolved.spec.seeds.seed
-    values = np.random.default_rng(seed).random(shape)
-    bounds = mixed_workload_bounds(
-        shape, count=resolved.query_count, rng=seed
-    )
-    reference = QueryEngine(values).evaluate_many(bounds)
-
-    # Cold side: per-request engine construction, timed over one pass
-    # of the workload pool (each "request" answers one query).
-    def cold_pass() -> np.ndarray:
-        return np.array(
-            [
-                QueryEngine(values).evaluate_many(row[None, :])[0]
-                for row in bounds
-            ]
-        )
-
-    cold_answers = cold_pass()
-    if not np.array_equal(cold_answers, reference):
-        raise AssertionError("cold per-request answers drifted from reference")
-    cold_seconds = _best_of(cold_pass, repeats=2)
-    cold_rps = len(bounds) / cold_seconds
-
-    # Warm side: the actual server + load harness over localhost.
-    requests = 4 * len(bounds)
-    connections = 16
-    config = ServeConfig(batch_window=0.001, max_batch=256)
-
-    async def warm_run() -> "tuple[object, object]":
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "release.npz"
-            np.savez(path, values=values)
-            metrics = Metrics()
-            with use_metrics(metrics):
-                server = ReleaseServer({"bench": str(path)}, config)
-                async with server:
-                    # Warm the cache outside the timed load.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, server.cache.get, "bench"
-                    )
-                    report = await run_load_async(
-                        "127.0.0.1",
-                        server.port,
-                        "bench",
-                        bounds,
-                        requests=requests,
-                        connections=connections,
-                        collect_answers=True,
-                    )
-            return report, metrics
-
-    report, metrics = asyncio.run(warm_run())
-    if report.errors:
-        raise AssertionError(f"{report.errors} serving error(s) under load")
-    got = np.array([row[0] for row in report.answers])
-    expected = np.array(
-        [reference[i % len(bounds)] for i in range(requests)]
-    )
-    if not np.array_equal(got, expected):
-        raise AssertionError("batched answers drifted from single-request bits")
-
-    batch_histogram = metrics.histogram_value("serve.batch.size")
-    mean_batch = batch_histogram.mean if batch_histogram else 1.0
-    speedup = report.requests_per_second / cold_rps
-    if speedup < _SERVING_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"warm serving speedup {speedup:.2f}x is below the "
-            f"{_SERVING_SPEEDUP_FLOOR}x floor"
-        )
-    return {
-        "benchmark": "serving",
-        "cpu_count": os.cpu_count() or 1,
-        "matrix_shape": list(shape),
-        "workload_queries": len(bounds),
-        "requests": requests,
-        "connections": connections,
-        "batch_window_seconds": config.batch_window,
-        "cold_requests_per_second": round(cold_rps, 1),
-        "requests_per_second": round(report.requests_per_second, 1),
-        "p50_ms": round(report.p50_ms, 3),
-        "p99_ms": round(report.p99_ms, 3),
-        "mean_batch_size": round(mean_batch, 2),
-        "speedup": round(speedup, 2),
-        "bit_identical": True,
     }
 
 
@@ -677,7 +550,6 @@ __all__: Sequence[str] = [
     "bench_audit_suite",
     "bench_lint_flow",
     "bench_parallel_sweep",
-    "bench_serving",
     "bench_sharded_publish",
     "bench_trace_overhead",
     "register",

@@ -260,23 +260,6 @@ BENCH_SHARDED_PUBLISH = register_scenario(
     )
 )
 
-#: ``bench serving``: warm micro-batched query serving over one
-#: published release at paper geometry (32x32 grid, 120-step test
-#: horizon, the 3x300-query mixed workload) vs cold per-request engine
-#: construction on the same traffic.
-BENCH_SERVING = register_scenario(
-    ScenarioSpec(
-        name="bench-serving",
-        description="paper scale: warm batched query serving over one "
-        "published release vs cold per-request engines",
-        kind="serve",
-        dataset=DatasetRef("CER"),
-        scale="paper",
-        seeds=SeedPolicy(seed=7),
-        tags=("serving",),
-    )
-)
-
 # -- adversarial audits ----------------------------------------------
 
 #: ``repro audit run``: empirical ε lower bound on the full staged
@@ -387,7 +370,6 @@ __all__ = [
     "AUDIT_COMPOSED_STPT",
     "AUDIT_FRONTIER",
     "BENCH_DEFAULT",
-    "BENCH_SERVING",
     "BENCH_SHARDED_PUBLISH",
     "BENCH_TRACE_OVERHEAD",
     "FIG7_WPO",

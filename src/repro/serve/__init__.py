@@ -3,11 +3,11 @@
 The post-publication half of the system: a zero-dependency asyncio HTTP
 server (:mod:`repro.serve.server`) that keeps one prefix-sum
 :class:`~repro.queries.engine.QueryEngine` per release hot in an LRU
-:class:`~repro.serve.cache.ReleaseCache` and answers concurrent range
-queries through micro-batched ``evaluate_many`` gathers, plus the load
-harness (:mod:`repro.serve.loadgen`) that drives it for the ``serving``
-benchmark. Everything here is pure post-processing of sanitized
-releases — no privacy budget is ever touched.
+:class:`~repro.serve.cache.ReleaseCache` and answers each range-query
+request with one ``evaluate_many`` call, plus the load harness
+(:mod:`repro.serve.loadgen`) behind ``repro serve loadgen``. Everything
+here is pure post-processing of sanitized releases — no privacy budget
+is ever touched.
 """
 
 from repro.serve.cache import CachedRelease, ReleaseCache, load_release

@@ -9,8 +9,8 @@ pulls the next global request index, maps it onto the precomputed
 bounds pool (round-robin), and fires.
 
 This is a *client*: it never touches raw data, only the HTTP surface.
-The sync :func:`run_load` wrapper is what the CLI and the ``serving``
-benchmark call.
+The sync :func:`run_load` wrapper is what ``repro serve loadgen``
+calls.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ async def run_load_async(
 
     Request ``i`` sends ``queries_per_request`` consecutive rows of the
     ``bounds`` pool starting at ``i * queries_per_request`` (wrapping
-    round-robin), so the full pool is exercised and — crucially for the
-    benchmark's bit-identity check — every request's expected answers
-    are reproducible from ``i`` alone. With ``collect_answers`` the
+    round-robin), so the full pool is exercised and — crucially for a
+    bit-identity check — every request's expected answers are
+    reproducible from ``i`` alone. With ``collect_answers`` the
     per-request answer lists come back ordered by request index.
     """
     if requests < 1:

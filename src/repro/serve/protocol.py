@@ -3,7 +3,7 @@
 Stdlib-only on purpose: the server's job is to turn socket bytes into
 ``(n, 6)`` bounds arrays and back, and a framework would dominate the
 ~20µs it takes :meth:`QueryEngine.evaluate_many` to answer a warm
-batch. Only the subset of HTTP the load harness and a curl user need is
+request. Only the subset of HTTP the load harness and a curl user need is
 implemented — content-length framing, keep-alive, JSON bodies.
 
 ``write_response`` is the publication sink of the serving layer: every
@@ -150,9 +150,10 @@ def parse_query_request(
     """Validate a ``POST /query`` body against the release shape.
 
     Returns the ``(n, 6)`` intp bounds array plus the aggregate
-    (``"sum"`` or ``"average"``). Validation is vectorized and happens
-    here, at parse time, so a coalesced batch can never raise for one
-    request's bad bounds mid-``evaluate_many``.
+    (``"sum"`` or ``"average"``). Every element must be a JSON integer:
+    a float, boolean or string is a 400, never cast to some other
+    query. Bounds are checked against the shape here, vectorized, so
+    ``evaluate_many`` only ever sees valid bounds.
     """
     if not isinstance(payload, dict):
         raise ProtocolError(400, "query payload must be a JSON object")
@@ -171,6 +172,10 @@ def parse_query_request(
             f"{MAX_QUERIES_PER_REQUEST}",
         )
     try:
+        # Exact element types: bool subclasses int, and numpy would cast
+        # a float or a numeric string to some other query.
+        if {type(v) for row in raw for v in row} != {int}:
+            raise TypeError("non-integer bound")
         bounds = np.array(raw, dtype=np.intp)
     except (TypeError, ValueError, OverflowError):
         raise ProtocolError(

@@ -1,21 +1,20 @@
-"""Asyncio query server with micro-batched ``evaluate_many`` dispatch.
+"""Asyncio query server: each ``/query`` is one ``evaluate_many`` call.
 
 One process serves every registered release: connections are handled by
 stdlib asyncio streams, cold engine builds go through the single-flight
 :class:`~repro.serve.cache.ReleaseCache` (in an executor thread so the
-event loop never blocks on a cumsum), and warm ``/query`` requests are
-**micro-batched** — everything that arrives within ``batch_window``
-seconds is coalesced into one ``(n, 6)`` bounds array and answered by a
-single :meth:`QueryEngine.evaluate_many` gather, amortizing the numpy
-dispatch across concurrent clients. Because ``evaluate_many`` uses the
-same element-wise expression order whether it answers 1 row or 1000,
-coalescing is invisible to clients: batched answers are bit-identical
-to single-request answers.
+event loop never blocks on a cumsum), and a warm ``/query`` is answered
+inline on the event loop by one :meth:`QueryEngine.evaluate_many` call
+over its ``(n, 6)`` bounds array, so every answer carries exactly the
+bits ``evaluate_many`` gives for that request's bounds. Requests on one
+keep-alive connection, pipelined or not, are answered in order.
 
 Observability rides on ``repro.obs``: each request opens a
 ``serve.request`` span, counters/histograms land in the active
 :class:`Metrics` registry (which ``GET /metrics`` serves back), and
-``GET /healthz`` reports cache occupancy.
+``GET /healthz`` reports cache occupancy. Every response the server
+writes, framing errors included, is counted in one place, so
+``serve.requests``, ``serve.errors`` and ``requests_served`` agree.
 
 Routes::
 
@@ -33,10 +32,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.exceptions import QueryError, ServeError
 from repro.obs import get_metrics, get_tracer
@@ -57,8 +54,6 @@ from repro.serve.protocol import (
     write_response,
 )
 
-#: Batch-size histogram buckets (powers of two up to max_batch default).
-_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1)
 
 
@@ -66,9 +61,6 @@ _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1)
 class ServeConfig:
     """Tuning knobs for one :class:`ReleaseServer`.
 
-    ``batch_window`` trades tail latency for throughput: every request
-    waits up to that long for companions to share an ``evaluate_many``
-    gather. ``0`` disables coalescing (each request is a batch of one).
     ``max_requests`` makes the server self-terminating after N requests
     — the hook tests and the CLI's bounded mode use it.
     """
@@ -76,32 +68,13 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     cache_capacity: int = 8
-    batch_window: float = 0.001
-    max_batch: int = 256
     max_requests: int | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ServeError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_requests is not None and self.max_requests < 1:
             raise ServeError(
                 f"max_requests must be >= 1, got {self.max_requests}"
             )
-
-
-@dataclass
-class _Pending:
-    """One enqueued /query awaiting its slice of a coalesced gather."""
-
-    entry: CachedRelease
-    bounds: np.ndarray
-    future: "asyncio.Future[np.ndarray]" = field(
-        default_factory=lambda: asyncio.get_running_loop().create_future()
-    )
 
 
 class ReleaseServer:
@@ -123,20 +96,16 @@ class ReleaseServer:
         self.requests_served = 0
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._queue: "asyncio.Queue[_Pending]" = None  # type: ignore[assignment]
-        self._batcher: asyncio.Task | None = None
         self._done: asyncio.Event | None = None
         self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> int:
-        """Bind, start the batch loop, return the bound port."""
+        """Bind and return the bound port."""
         if self._server is not None:
             raise ServeError("server already started")
-        self._queue = asyncio.Queue()
         self._done = asyncio.Event()
-        self._batcher = asyncio.create_task(self._batch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -144,7 +113,7 @@ class ReleaseServer:
         return self.port
 
     async def stop(self) -> None:
-        """Close the listener, open connections and the batch loop."""
+        """Close the listener and open connections."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -154,10 +123,6 @@ class ReleaseServer:
         # readers see EOF and the handlers unwind.
         for writer in list(self._writers):
             writer.close()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            await asyncio.gather(self._batcher, return_exceptions=True)
-            self._batcher = None
         if self._done is not None:
             self._done.set()
 
@@ -186,15 +151,14 @@ class ReleaseServer:
                 try:
                     request = await read_request(reader)
                 except ProtocolError as error:
-                    await write_response(
+                    await self._respond(
                         writer, error.status, {"error": str(error)}
                     )
                     break
                 if request is None:
                     break
                 status, payload = await self._handle_request(request)
-                await write_response(writer, status, payload)
-                self._count_request()
+                await self._respond(writer, status, payload)
                 if not request.keep_alive:
                     break
                 if self._done is not None and self._done.is_set():
@@ -205,7 +169,15 @@ class ReleaseServer:
             self._writers.discard(writer)
             writer.close()
 
-    def _count_request(self) -> None:
+    async def _respond(
+        self, writer: asyncio.StreamWriter, status: int, payload: Any
+    ) -> None:
+        """Write one response and count it; every response passes here."""
+        await write_response(writer, status, payload)
+        metrics = get_metrics()
+        metrics.counter("serve.requests")
+        if status >= 400:
+            metrics.counter("serve.errors")
         self.requests_served += 1
         limit = self.config.max_requests
         if limit is not None and self.requests_served >= limit:
@@ -215,8 +187,6 @@ class ReleaseServer:
     async def _handle_request(
         self, request: HttpRequest
     ) -> tuple[int, Any]:
-        metrics = get_metrics()
-        metrics.counter("serve.requests")
         started = time.perf_counter()
         with get_tracer().span(
             "serve.request", method=request.method, target=request.target
@@ -231,13 +201,11 @@ class ReleaseServer:
                 status, payload = 500, {
                     "error": f"internal error: {type(error).__name__}"
                 }
-        metrics.histogram(
+        get_metrics().histogram(
             "serve.request.seconds",
             time.perf_counter() - started,
             buckets=_LATENCY_BUCKETS,
         )
-        if status >= 400:
-            metrics.counter("serve.errors")
         return status, payload
 
     async def _route(self, request: HttpRequest) -> tuple[int, Any]:
@@ -294,7 +262,7 @@ class ReleaseServer:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.cache.get, name)
 
-    # -- /query: the micro-batched hot path ----------------------------
+    # -- /query: the hot path -----------------------------------------
 
     async def _query(self, request: HttpRequest) -> tuple[int, Any]:
         payload = request.json()
@@ -305,9 +273,7 @@ class ReleaseServer:
             raise ProtocolError(400, "'release' must be a release name")
         entry = await self._entry(name)
         bounds, aggregate = parse_query_request(payload, entry.shape)
-        pending = _Pending(entry=entry, bounds=bounds)
-        await self._queue.put(pending)
-        answers = await pending.future
+        answers = entry.engine.evaluate_many(bounds)
         if aggregate == "average":
             volumes = (
                 (bounds[:, 1] - bounds[:, 0])
@@ -321,59 +287,6 @@ class ReleaseServer:
             "queries": int(len(bounds)),
             "answers": answers.tolist(),
         }
-
-    async def _batch_loop(self) -> None:
-        """Coalesce queued requests into ``evaluate_many`` gathers.
-
-        Sleep-then-drain rather than ``wait_for(get(), window)``: after
-        the first request arrives we sleep out the window once, then
-        take whatever has accumulated. This avoids cancellation races
-        in ``Queue.get`` and gives every batch exactly one window of
-        gathering time.
-        """
-        window = self.config.batch_window
-        while True:
-            batch = [await self._queue.get()]
-            if window > 0:
-                await asyncio.sleep(window)
-            while (
-                len(batch) < self.config.max_batch
-                and not self._queue.empty()
-            ):
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self._flush(batch)
-
-    def _flush(self, batch: list[_Pending]) -> None:
-        metrics = get_metrics()
-        metrics.histogram(
-            "serve.batch.size", float(len(batch)), buckets=_BATCH_BUCKETS
-        )
-        by_release: dict[str, list[_Pending]] = {}
-        for pending in batch:
-            by_release.setdefault(pending.entry.name, []).append(pending)
-        for group in by_release.values():
-            try:
-                if len(group) == 1:
-                    answers = group[0].entry.engine.evaluate_many(
-                        group[0].bounds
-                    )
-                    slices = [answers]
-                else:
-                    stacked = np.concatenate([p.bounds for p in group])
-                    answers = group[0].entry.engine.evaluate_many(stacked)
-                    offsets = np.cumsum([len(p.bounds) for p in group])[:-1]
-                    slices = np.split(answers, offsets)
-                metrics.counter("serve.batch.evaluations")
-                for pending, rows in zip(group, slices):
-                    if not pending.future.done():
-                        pending.future.set_result(rows)
-            except Exception as error:
-                for pending in group:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
 
     # -- /derived ------------------------------------------------------
 
@@ -389,13 +302,14 @@ class ReleaseServer:
         engine = entry.engine
         t0 = payload.get("t0", 0)
         t1 = payload.get("t1")
-        if not isinstance(t0, int) or (t1 is not None and not isinstance(t1, int)):
+        # ``type(v) is int``: JSON true/false decode to bool, an int subclass.
+        if type(t0) is not int or (t1 is not None and type(t1) is not int):
             raise ProtocolError(400, "'t0'/'t1' must be integers")
         try:
             if metric == "top_k":
                 block_side = payload.get("block_side")
                 k = payload.get("k", 1)
-                if not isinstance(block_side, int) or not isinstance(k, int):
+                if type(block_side) is not int or type(k) is not int:
                     raise ProtocolError(
                         400, "'block_side' and 'k' must be integers"
                     )
@@ -450,7 +364,7 @@ class ReleaseServer:
         if (
             not isinstance(raw, list)
             or len(raw) != 4
-            or not all(isinstance(v, int) for v in raw)
+            or not all(type(v) is int for v in raw)
         ):
             raise ProtocolError(
                 400, "'region' must be four integers [x0, x1, y0, y1]"

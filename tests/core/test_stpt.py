@@ -147,7 +147,7 @@ def charges(monkeypatch):
 
 
 class TestMalformedInputSpendsNothing:
-    """Non-finite input is a typed error raised before any ε is charged."""
+    """Malformed input is a typed error raised before any ε is charged."""
 
     @pytest.mark.parametrize("shard_depth", [0, 1])
     @pytest.mark.parametrize(
@@ -167,6 +167,29 @@ class TestMalformedInputSpendsNothing:
         stpt = STPT(tiny_config(shard_depth=shard_depth), rng=0)
         with pytest.raises(error, match="finite"):
             stpt.publish(matrix, clip_scale=clip_scale)
+        assert charges == []
+
+    @pytest.mark.parametrize(
+        "t_train, shard_depth",
+        [
+            pytest.param(16, 0, id="t16-depth3"),
+            pytest.param(6, 0, id="t6-depth3"),
+            pytest.param(16, 1, id="t16-shard1-depth2"),
+        ],
+    )
+    def test_series_too_short_for_a_window(
+        self, norm_matrix, charges, t_train, shard_depth
+    ):
+        # Default window 6 and grid-derived depth: Eq. 8 segments of
+        # ceil(16/4)=4, ceil(6/4)=2 and, on a 4x4 shard, ceil(16/3)=6
+        # points, none of which can make a window.
+        config = tiny_config(
+            t_train=t_train,
+            shard_depth=shard_depth,
+            pattern=PatternConfig(epochs=1, embed_dim=8, hidden_dim=8),
+        )
+        with pytest.raises(ConfigurationError, match="segment length"):
+            STPT(config, rng=0).publish(norm_matrix)
         assert charges == []
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])

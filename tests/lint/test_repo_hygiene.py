@@ -7,16 +7,24 @@
   outside a git checkout (an unpacked archive has no index to inspect).
 * Every runtime dependency in ``pyproject.toml`` is imported by some
   module under ``src/``, so a dependency cannot outlive its last user.
+* Every ``python -m repro ...`` command in a fenced block of the README
+  or ``docs/`` parses with the real CLI parser, so a removed flag or
+  subcommand cannot linger in the documentation. Nothing is executed.
 """
 
 import ast
+import contextlib
+import io
 import re
+import shlex
 import shutil
 import subprocess
 import tomllib
 from pathlib import Path
 
 import pytest
+
+from repro.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -83,3 +91,37 @@ def test_every_runtime_dependency_is_imported():
         f"runtime dependencies imported nowhere under src/: {unused}; "
         "drop them from [project].dependencies"
     )
+
+
+_FENCED_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def _documented_cli_examples() -> list[tuple[str, str]]:
+    """(file, command) for every ``python -m repro`` line in a fenced
+    block; backslash continuations are joined and lines with a ``...``
+    placeholder are skipped."""
+    examples = []
+    for path in [REPO_ROOT / "README.md", *sorted(REPO_ROOT.glob("docs/*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for block in _FENCED_BLOCK.findall(text):
+            for line in block.replace("\\\n", " ").splitlines():
+                line = line.strip()
+                if line.startswith("python -m repro ") and "..." not in line:
+                    examples.append((path.relative_to(REPO_ROOT).as_posix(), line))
+    return examples
+
+
+def test_documented_cli_examples_parse():
+    examples = _documented_cli_examples()
+    assert examples, "no `python -m repro` examples found in README.md or docs/"
+    parser = _build_parser()
+    stale = []
+    for source, line in examples:
+        argv = shlex.split(line, comments=True)[3:]
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args(argv)
+        except SystemExit as exit_info:
+            if exit_info.code:
+                stale.append(f"{source}: {line}")
+    assert not stale, "documented commands the CLI rejects:\n" + "\n".join(stale)

@@ -125,18 +125,6 @@ def test_bench_sharded_publish_splits_the_paper_grid():
     assert config.pattern.hidden_dim == 32
 
 
-def test_bench_serving_pins_the_paper_serving_geometry():
-    # The serving benchmark answers the 3x300-query mixed workload over
-    # one released paper-scale matrix: 32x32 grid, 120-step test
-    # horizon (220 days - 100 training), seed 7.
-    resolved = resolve_scenario("bench-serving")
-    assert resolved.spec.kind == "serve"
-    assert resolved.preset.grid_shape == (32, 32)
-    assert resolved.preset.t_test == 120
-    assert resolved.query_count == 300
-    assert resolved.spec.seeds.seed == 7
-
-
 def test_publish_default_matches_the_cli_builtin_defaults():
     resolved = resolve_scenario("publish-default")
     assert resolved.preset.grid_shape == (32, 32)

@@ -70,6 +70,16 @@ class TestServeCli:
         assert "requests_per_second" in output
         assert "p99_ms" in output
 
+    def test_batch_window_flag_is_gone(self):
+        # The bad release spec would fail with exit 1 if the flag parsed,
+        # so the server never starts either way.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "run", "--release", "nodelimiter",
+                "--batch-window", "0.001",
+            ])
+        assert exit_info.value.code == 2
+
     def test_bad_release_spec_is_an_error(self, capsys):
         code = main(["serve", "run", "--release", "nodelimiter", "--port", "1"])
         assert code == 1

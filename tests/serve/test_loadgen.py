@@ -56,9 +56,7 @@ class TestRunLoad:
         requests = 60
 
         async def main():
-            server = ReleaseServer(
-                {"r": str(path)}, ServeConfig(batch_window=0.002)
-            )
+            server = ReleaseServer({"r": str(path)}, ServeConfig())
             async with server:
                 return await run_load_async(
                     "127.0.0.1", server.port, "r", bounds,

@@ -1,4 +1,4 @@
-"""ReleaseServer: routes, micro-batching, bit-identity, termination.
+"""ReleaseServer: routes, concurrency, pipelining, bit-identity, termination.
 
 pytest-asyncio is deliberately not a dependency; each test drives the
 server inside ``asyncio.run`` from a synchronous test function.
@@ -14,7 +14,7 @@ from repro.exceptions import ServeError
 from repro.obs import Metrics, use_metrics
 from repro.queries.engine import QueryEngine
 from repro.queries.range_query import RangeQuery
-from repro.serve import ReleaseServer, ServeConfig
+from repro.serve import ReleaseServer, ServeConfig, mixed_workload_bounds
 from repro.serve.protocol import ProtocolError, parse_query_request
 
 SHAPE = (6, 6, 10)
@@ -24,6 +24,14 @@ SHAPE = (6, 6, 10)
 def release(tmp_path):
     values = np.random.default_rng(3).random(SHAPE)
     path = tmp_path / "r.npz"
+    np.savez(path, values=values)
+    return values, path
+
+
+@pytest.fixture()
+def other_release(tmp_path):
+    values = np.random.default_rng(5).random(SHAPE)
+    path = tmp_path / "o.npz"
     np.savez(path, values=values)
     return values, path
 
@@ -47,12 +55,36 @@ async def _http(port, method, target, payload=None):
     return status, json.loads(data) if data else {}
 
 
-def _serve(coro_fn, values, path, **config):
+async def _raw(port, data):
+    """Send raw bytes over a fresh connection; the response's status."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        raw = await reader.read()
+    finally:
+        writer.close()
+    return int(raw.split(b" ", 2)[1])
+
+
+async def _read_response(reader):
+    """One keep-alive response off ``reader``; (status, parsed body)."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length")
+    )
+    body = await reader.readexactly(length)
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def _serve(coro_fn, values, path):
     """Run ``coro_fn(server, engine)`` against a live server."""
     engine = QueryEngine(values)
 
     async def main():
-        server = ReleaseServer({"r": str(path)}, ServeConfig(**config))
+        server = ReleaseServer({"r": str(path)})
         async with server:
             return await coro_fn(server, engine)
 
@@ -102,6 +134,38 @@ class TestRoutes:
         metrics = Metrics()
         with use_metrics(metrics):
             _serve(scenario, values, path)
+
+    def test_every_error_response_is_counted(self, release):
+        """Framing errors (answered before a request exists) count in
+        serve.requests/serve.errors and requests_served like any other
+        response."""
+        values, path = release
+
+        async def scenario(server, engine):
+            statuses = [
+                await _raw(server.port, b"GARBAGE\r\n\r\n"),
+                await _raw(
+                    server.port,
+                    b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 999999999\r\n\r\n",
+                ),
+                await _raw(
+                    server.port,
+                    b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 8\r\nConnection: close\r\n\r\n"
+                    b"not json",
+                ),
+            ]
+            assert statuses == [400, 413, 400]
+            return server.requests_served
+
+        metrics = Metrics()
+        with use_metrics(metrics):
+            served = _serve(scenario, values, path)
+        counters = metrics.as_dict()["counters"]
+        assert counters["serve.requests"] == 3
+        assert counters["serve.errors"] == 3
+        assert served == 3
 
     def test_unknown_route_is_404_wrong_method_405(self, release):
         values, path = release
@@ -188,9 +252,12 @@ class TestQuery:
 
 
 class TestBatching:
+    """Concurrent and pipelined requests: each answer carries exactly
+    the bits of ``evaluate_many`` over that request's bounds."""
+
     def test_interleaved_clients_get_bit_identical_answers(self, release):
-        """Concurrent clients inside one batch window see the same bits
-        as a lone client per request — coalescing is invisible."""
+        """Concurrent clients see the same bits as ``evaluate_many``
+        over each client's rows."""
         values, path = release
         rng = np.random.default_rng(11)
         queries = []
@@ -223,25 +290,14 @@ class TestBatching:
                 )
                 assert answers == expected.tolist()
 
-        metrics = Metrics()
-        with use_metrics(metrics):
-            _serve(scenario, values, path, batch_window=0.005)
-        histogram = metrics.histogram_value("serve.batch.size")
-        assert histogram is not None
-        # With 4 clients inside a 5ms window, batches actually formed.
-        assert histogram.mean > 1.0
+        _serve(scenario, values, path)
 
-    def test_multi_release_batch_groups_by_release(self, release, tmp_path):
+    def test_multi_release_batch_groups_by_release(self, release, other_release):
         values, path = release
-        other = np.random.default_rng(5).random(SHAPE)
-        other_path = tmp_path / "o.npz"
-        np.savez(other_path, values=other)
+        other, other_path = other_release
 
         async def main():
-            server = ReleaseServer(
-                {"r": str(path), "o": str(other_path)},
-                ServeConfig(batch_window=0.005),
-            )
+            server = ReleaseServer({"r": str(path), "o": str(other_path)})
             async with server:
                 await _http(server.port, "GET", "/releases/r")
                 await _http(server.port, "GET", "/releases/o")
@@ -268,17 +324,49 @@ class TestBatching:
 
         asyncio.run(main())
 
-    def test_zero_window_disables_coalescing(self, release):
+    def test_pipelined_requests_answer_in_order(self, release, other_release):
+        """Six requests written on one keep-alive connection before any
+        response is read come back in order, each equal to
+        ``evaluate_many`` on its own release."""
         values, path = release
+        other, other_path = other_release
+        pool = mixed_workload_bounds(SHAPE, count=100, rng=4)
+        payloads = [
+            ("r", pool[:1]),
+            ("o", pool),
+            ("o", pool[7:8]),
+            ("r", pool),
+            ("r", pool[150:151]),
+            ("o", pool[::-1]),
+        ]
 
-        async def scenario(server, engine):
-            status, body = await _http(
-                server.port, "POST", "/query",
-                {"release": "r", "queries": [[0, 1, 0, 1, 0, 1]]},
-            )
+        async def main():
+            server = ReleaseServer({"r": str(path), "o": str(other_path)})
+            async with server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                try:
+                    for name, rows in payloads:
+                        body = json.dumps(
+                            {"release": name, "queries": rows.tolist()}
+                        ).encode()
+                        writer.write(
+                            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                            + body
+                        )
+                    await writer.drain()
+                    return [await _read_response(reader) for _ in payloads]
+                finally:
+                    writer.close()
+
+        responses = asyncio.run(main())
+        engines = {"r": QueryEngine(values), "o": QueryEngine(other)}
+        for (name, rows), (status, body) in zip(payloads, responses):
             assert status == 200
-
-        _serve(scenario, values, path, batch_window=0.0)
+            assert body["release"] == name
+            assert body["answers"] == engines[name].evaluate_many(rows).tolist()
 
 
 class TestDerived:
@@ -320,6 +408,24 @@ class TestDerived:
             assert len(body["regions"]) == 2
             totals = [r["total"] for r in body["regions"]]
             assert totals == sorted(totals, reverse=True)
+
+        _serve(scenario, values, path)
+
+    def test_boolean_bounds_are_400(self, release):
+        values, path = release
+
+        async def scenario(server, engine):
+            for payload in [
+                {"metric": "peak", "region": [True, 3, 0, 3], "t0": 0},
+                {"metric": "peak", "region": [0, 3, 0, 3], "t0": False},
+                {"metric": "top_k", "block_side": 3, "k": True},
+            ]:
+                status, body = await _http(
+                    server.port, "POST", "/derived",
+                    {"release": "r", **payload},
+                )
+                assert status == 400, payload
+                assert "integers" in body["error"]
 
         _serve(scenario, values, path)
 
@@ -374,16 +480,8 @@ class TestLifecycle:
                         b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
                     )
                     await writer.drain()
-                    head = await reader.readuntil(b"\r\n\r\n")
-                    assert b" 200 " in head
-                    length = int(
-                        [
-                            line.split(b":")[1]
-                            for line in head.split(b"\r\n")
-                            if line.lower().startswith(b"content-length")
-                        ][0]
-                    )
-                    await reader.readexactly(length)
+                    status, _ = await _read_response(reader)
+                    assert status == 200
             finally:
                 writer.close()
             return server.requests_served
@@ -395,12 +493,13 @@ class TestLifecycle:
             ReleaseServer({})
 
     def test_config_validation(self):
-        with pytest.raises(ServeError, match="batch_window"):
-            ServeConfig(batch_window=-0.1)
-        with pytest.raises(ServeError, match="max_batch"):
-            ServeConfig(max_batch=0)
         with pytest.raises(ServeError, match="max_requests"):
             ServeConfig(max_requests=0)
+        # Requests are answered inline: there is no batching to tune.
+        with pytest.raises(TypeError):
+            ServeConfig(batch_window=0.001)
+        with pytest.raises(TypeError):
+            ServeConfig(max_batch=8)
 
 
 class TestParseQueryRequest:
@@ -426,6 +525,9 @@ class TestParseQueryRequest:
                 {"queries": [[0, 1, 0, 1, 0, 1]], "aggregate": "max"},
                 "aggregate",
             ),
+            ({"queries": [[0.5, 3.7, 0, 1, 0, 1]]}, "six integers"),
+            ({"queries": [[True, 3, 0, 1, 0, 1]]}, "six integers"),
+            ({"queries": [["1", "3", 0, 1, 0, 1]]}, "six integers"),
         ],
     )
     def test_rejects_malformed_payloads(self, payload, message):
