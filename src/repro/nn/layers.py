@@ -189,14 +189,17 @@ class Sequential(Module):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, without a branch mask.
+
+    ``e = exp(-|x|)`` never overflows; ``1 / (1 + e)`` for ``x >= 0``
+    and ``e / (1 + e)`` below it are the two stable forms, picked per
+    element by ``where``. ``minimum(x, -x)`` is ``-|x|`` that keeps a
+    NaN's sign, so every output bit, NaNs included, matches evaluating
+    the two forms on a boolean mask.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

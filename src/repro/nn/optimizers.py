@@ -184,7 +184,10 @@ def clip_grad_norm(params, max_norm: float) -> float:
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be positive")
     params = list(params)
-    total = float(np.sqrt(sum(float(np.sum(p.grad**2)) for p in params)))
+    # One sum of squares per parameter, added in parameter order. The
+    # reduce is the one np.sum(g**2) runs, minus its Python wrapper.
+    squares = sum(float(np.add.reduce(np.square(p.grad), axis=None)) for p in params)
+    total = float(np.sqrt(squares))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:

@@ -17,7 +17,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.losses import loss_value, mse_loss
 from repro.nn.models import SequenceForecaster
-from repro.nn.optimizers import Optimizer, RMSProp, clip_grad_norm
+# Trainer.fit clips through its optimizer, so clip_grad_norm is unused
+# here; perfbench's traced run wraps repro.nn.training.clip_grad_norm,
+# so the name stays importable until that wrapper is dropped.
+from repro.nn.optimizers import Optimizer, RMSProp, clip_grad_norm  # noqa: F401
 from repro.obs import get_metrics, get_tracer
 from repro.rng import RngLike, ensure_rng
 
@@ -117,7 +120,9 @@ class Trainer:
 
     Defaults follow Appendix C: RMSProp, learning rate 1e-3, batch size
     32, 20 epochs, MSE loss. Gradients are clipped to a global norm of
-    5 to keep BPTT stable on noisy (DP-sanitized) training data.
+    5 to keep BPTT stable on noisy (DP-sanitized) training data;
+    ``grad_clip=0`` disables the clip. The clip covers the parameters
+    the optimizer steps.
     """
 
     def __init__(
@@ -134,6 +139,12 @@ class Trainer:
     ) -> None:
         if epochs <= 0:
             raise ConfigurationError("epochs must be positive")
+        if batch_size <= 0:
+            raise ConfigurationError("batch_size must be positive")
+        if not grad_clip >= 0.0:
+            raise ConfigurationError(
+                f"grad_clip must be >= 0 (0 disables clipping), got {grad_clip}"
+            )
         if not 0.0 <= validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must be in [0, 1)")
         if patience is not None:
@@ -156,6 +167,12 @@ class Trainer:
     def fit(self, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
+        if len(inputs) != len(targets):
+            raise ConfigurationError(
+                f"{len(inputs)} inputs but {len(targets)} targets"
+            )
+        if len(inputs) == 0:
+            raise TrainingError("no training samples")
         if self.validation_fraction > 0.0:
             order = np.arange(len(inputs))
             self._rng.shuffle(order)
@@ -192,8 +209,8 @@ class Trainer:
                         loss, grad = self.loss_fn(preds, batch_y)
                         self.model.backward(grad)
                         if self.grad_clip:
-                            grad_norm = clip_grad_norm(
-                                self.model.parameters(), self.grad_clip
+                            grad_norm = self.optimizer.clip_grad_norm(
+                                self.grad_clip
                             )
                         self.optimizer.step()
                         metrics.histogram(

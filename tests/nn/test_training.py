@@ -118,6 +118,48 @@ class TestTrainer:
         model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
         assert isinstance(Trainer(model).optimizer, RMSProp)
 
+    def test_zero_samples_raise_training_error(self):
+        model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
+        with pytest.raises(TrainingError):
+            Trainer(model, epochs=1).fit(np.empty((0, 3)), np.empty(0))
+
+    def test_mismatched_lengths_rejected_before_the_split(self):
+        model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
+        trainer = Trainer(model, epochs=1, validation_fraction=0.2, rng=0)
+        with pytest.raises(ConfigurationError):
+            trainer.fit(np.zeros((10, 3)), np.zeros(8))
+
+    @pytest.mark.parametrize("grad_clip", [-1.0, float("nan")])
+    def test_invalid_grad_clip(self, grad_clip):
+        model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
+        with pytest.raises(ConfigurationError):
+            Trainer(model, grad_clip=grad_clip)
+
+    def test_invalid_batch_size(self):
+        model = GRUForecaster(window=3, embed_dim=4, hidden_dim=4, rng=0)
+        with pytest.raises(ConfigurationError):
+            Trainer(model, batch_size=0)
+
+    def test_clips_through_the_optimizer_once_per_step(self, rng):
+        inputs, targets = self.make_ar_data(rng, n=60)
+        model = GRUForecaster(window=4, embed_dim=6, hidden_dim=6, rng=0)
+        trainer = Trainer(model, epochs=2, batch_size=16, rng=0)
+        clip = trainer.optimizer.clip_grad_norm
+        calls = []
+        trainer.optimizer.clip_grad_norm = lambda m: calls.append(m) or clip(m)
+        trainer.fit(inputs, targets)
+        # 56 windows in batches of 16: 4 steps per epoch.
+        assert calls == [5.0] * 8
+
+    def test_zero_grad_clip_disables_clipping(self, rng):
+        inputs, targets = self.make_ar_data(rng, n=60)
+        model = GRUForecaster(window=4, embed_dim=6, hidden_dim=6, rng=0)
+        trainer = Trainer(model, epochs=1, grad_clip=0.0, rng=0)
+        calls = []
+        trainer.optimizer.clip_grad_norm = calls.append
+        trainer.fit(inputs, targets)
+        assert calls == []
+
     def test_history_final_loss(self):
         history = TrainingHistory(epoch_losses=[2.0, 1.0])
         assert history.final_loss == 1.0

@@ -7,7 +7,11 @@ kernels to them under a stated contract:
 * :func:`make_windows_reference` — ``repro.nn.training.make_windows``,
   bit-identical;
 * :func:`forward_per_step` — the fused ``RNN``/``GRU``/``LSTM.forward``,
-  bit-identical;
+  <= 1e-12, and bit-identical at the shapes the tests pin (the stacked
+  input gemm may take another BLAS kernel than a per-step one; at
+  batch 1 it usually does);
+* :func:`sigmoid_reference` — the branch-free ``repro.nn.layers.sigmoid``,
+  bit-identical, NaN payloads included;
 * :func:`backward_per_step` — the batched BPTT ``backward``, <= 1e-10
   (the time-stacked gemms reassociate the gradient sums);
 * :class:`PerParameterSGD`, :class:`PerParameterRMSProp`,
@@ -48,6 +52,17 @@ def make_windows_reference(
             f"no series was long enough to produce a window of size {window}"
         )
     return np.asarray(inputs), np.asarray(targets)
+
+
+def sigmoid_reference(x) -> np.ndarray:
+    """Logistic function, each stable form applied on a boolean mask."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def forward_per_step(layer, x, state0=None):

@@ -7,8 +7,10 @@ cells. The release contract is that this drift never reaches the
 published bits: k-quantization snaps the pattern matrix to level
 values, so the sanitized output is bit-identical whichever backward
 runs. The per-step mode patches the recurrent wrappers' ``forward`` and
-``backward`` with the per-step oracle from ``tests/oracles.py`` (its
-forward is bit-identical to the fused one). This module pins all three
+``backward`` with the per-step oracle from ``tests/oracles.py``. Its
+training forwards match the fused ones bit for bit at this geometry;
+its batch-1 roll-out forwards differ from them by round-off (a gemv
+per step instead of one stacked gemm). This module pins all three
 facts — the batched golden, the per-step golden, and the invariance of
 the release — so a change to either path trips a test instead of
 silently shifting goldens.
