@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from repro.core.quadtree import (
 from repro.dp.budget import BudgetAccountant
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.models import SequenceForecaster, make_forecaster
+from repro.nn.module import stack_members
 from repro.nn.optimizers import RMSProp
 from repro.nn.training import Trainer, make_windows
 from repro.rng import RngLike, derive_seed, ensure_rng
@@ -153,58 +155,79 @@ class PatternRecognizer:
         sanitized: list[QuadtreeLevel],
         t_train: int,
         grid_shape: tuple[int, int],
+        peers: Sequence[
+            tuple["PatternRecognizer", list[QuadtreeLevel], int, tuple[int, int]]
+        ] = (),
     ) -> PatternResult:
         """Phase 2: train the forecaster on sanitized level series.
 
         Deterministic given the generator state — it consumes no raw
         data and spends no budget, which is what makes the training
         artifact safe to cache and replay.
-        """
-        # Series are stacked, not concatenated: windows never straddle
-        # two neighbourhoods (Section 4.2). Training copies are clipped
-        # to the plausible value range — Laplace tails at the noisy
-        # fine levels would otherwise dominate the regression
-        # (post-processing of DP outputs, so free of budget).
-        all_values = np.concatenate([level.series.ravel() for level in sanitized])
-        observed_hi = max(1.0, float(np.percentile(all_values, 99.0)))
-        series_list = [
-            np.clip(row, 0.0, observed_hi * 1.5)
-            for level in sanitized
-            for row in level.series
-        ]
-        inputs, targets = make_windows(series_list, self.config.window)
 
-        model = make_forecaster(
-            self.config.model_family,
-            window=self.config.window,
-            embed_dim=self.config.embed_dim,
-            hidden_dim=self.config.hidden_dim,
-            use_attention=self.config.use_attention,
-            rng=derive_seed(self._rng),
-        )
+        ``peers`` are further recognizers with this one's config, each
+        with the arguments of its own call, ``(recognizer, sanitized,
+        t_train, grid_shape)``. All of them train as one member stack
+        (one :meth:`Trainer.fit <repro.nn.training.Trainer.fit>`), and
+        each ends with the result its own call would have given, bit
+        for bit; ``training_seconds`` is then an equal share of the
+        stack's fit. Their windows must come out equally many.
+        """
+        jobs = [(self, sanitized, t_train, grid_shape), *peers]
+        config = self.config
+        if any(recognizer.config != config for recognizer, *__ in peers):
+            raise ConfigurationError("peers must share this recognizer's config")
+        windows = [
+            make_windows(_training_series(job[1]), config.window) for job in jobs
+        ]
+        models = []
+        seeds = []
+        for recognizer, *__ in jobs:
+            models.append(
+                make_forecaster(
+                    config.model_family,
+                    window=config.window,
+                    embed_dim=config.embed_dim,
+                    hidden_dim=config.hidden_dim,
+                    use_attention=config.use_attention,
+                    rng=derive_seed(recognizer._rng),
+                )
+            )
+            seeds.append(derive_seed(recognizer._rng))
+        # One recognizer trains its plain model; several train a stack.
+        stacked = len(jobs) > 1
+        model = stack_members(models) if stacked else models[0]
         trainer = Trainer(
             model,
-            optimizer=RMSProp(list(model.parameters()), lr=self.config.learning_rate),
-            epochs=self.config.epochs,
-            batch_size=self.config.batch_size,
-            rng=derive_seed(self._rng),
+            optimizer=RMSProp(list(model.parameters()), lr=config.learning_rate),
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            rng=seeds if stacked else seeds[0],
         )
+        inputs = [x for x, __ in windows]
+        targets = [y for __, y in windows]
         start = time.perf_counter()
-        history = trainer.fit(inputs, targets)
-        elapsed = time.perf_counter() - start
-
-        self._result = PatternResult(
-            model=model,
-            sanitized_levels=sanitized,
-            training_seconds=elapsed,
-            final_training_loss=history.final_loss,
-            config=self.config,
-            epsilon_pattern=self.epsilon_pattern,
-            t_train=t_train,
-            grid_shape=(int(grid_shape[0]), int(grid_shape[1])),
-            history=list(history.epoch_losses),
+        histories = (
+            trainer.fit(inputs, targets) if stacked
+            else [trainer.fit(inputs[0], targets[0])]
         )
-        return self._result
+        elapsed = (time.perf_counter() - start) / len(jobs)
+
+        for (recognizer, levels, job_t_train, job_shape), member, history in zip(
+            jobs, models, histories
+        ):
+            recognizer._result = PatternResult(
+                model=member,
+                sanitized_levels=levels,
+                training_seconds=elapsed,
+                final_training_loss=history.final_loss,
+                config=config,
+                epsilon_pattern=recognizer.epsilon_pattern,
+                t_train=job_t_train,
+                grid_shape=(int(job_shape[0]), int(job_shape[1])),
+                history=list(history.epoch_losses),
+            )
+        return self.result
 
     def fit(
         self,
@@ -435,6 +458,24 @@ class PatternRecognizer:
             "mae": float(np.mean(np.abs(errors))),
             "rmse": float(np.sqrt(np.mean(errors**2))),
         }
+
+
+def _training_series(sanitized: list[QuadtreeLevel]) -> list[np.ndarray]:
+    """The level series a forecaster trains on, clipped to a plausible range.
+
+    Series are stacked, not concatenated: windows never straddle two
+    neighbourhoods (Section 4.2). Training copies are clipped to the
+    plausible value range — Laplace tails at the noisy fine levels
+    would otherwise dominate the regression (post-processing of DP
+    outputs, so free of budget).
+    """
+    all_values = np.concatenate([level.series.ravel() for level in sanitized])
+    observed_hi = max(1.0, float(np.percentile(all_values, 99.0)))
+    return [
+        np.clip(row, 0.0, observed_hi * 1.5)
+        for level in sanitized
+        for row in level.series
+    ]
 
 __all__ = [
     "PatternConfig",

@@ -24,14 +24,18 @@ generator position they left behind.
 With ``shard_depth > 0`` the publish itself shards: the grid splits
 into the ``4^shard_depth`` disjoint quadtree subtrees of
 :func:`repro.core.quadtree.shard_grid`, and each shard runs the full
-four-stage pipeline on its own subgrid as an independent
-:mod:`repro.parallel` task — one pre-spawned seed sequence and one
-child :class:`~repro.dp.budget.BudgetAccountant` per shard, recombined
-exactly through :meth:`BudgetAccountant.merge` (parallel composition:
-households in disjoint subtrees are disjoint data, so the total stays
-``epsilon_total``). A sharded run is bit-identical at any worker count:
-all seeds derive before dispatch, results return in submission order,
-and tiling the shard outputs back together is order-free.
+four-stage pipeline on its own subgrid — one pre-spawned seed sequence
+and one child :class:`~repro.dp.budget.BudgetAccountant` per shard,
+recombined exactly through :meth:`BudgetAccountant.merge` (parallel
+composition: households in disjoint subtrees are disjoint data, so the
+total stays ``epsilon_total``). The shards go out as ``min(workers,
+shards)`` contiguous groups, one :mod:`repro.parallel` task each; a
+group runs its shards' pipelines in lockstep, so ``pattern-train``
+fits the group's forecasters as one member stack. A sharded run is
+bit-identical at any worker count: all seeds derive before dispatch, a
+stack trains each member exactly as its own model, results return in
+submission order, and tiling the shard outputs back together is
+order-free.
 """
 
 from __future__ import annotations
@@ -195,7 +199,8 @@ def build_stpt_stages(config: STPTConfig, t_test: int) -> list[Stage]:
 
     Only ``pattern-train`` and ``quantize`` are cacheable; the two
     noise-drawing stages declare ``spends_budget=True`` and always
-    execute.
+    execute. ``pattern-train`` is ``batched``: in a lockstep execution
+    it fits every cache-missing run's forecaster in one member stack.
     """
     if t_test <= 0:
         raise ConfigurationError("t_test must be positive")
@@ -206,16 +211,22 @@ def build_stpt_stages(config: STPTConfig, t_test: int) -> list[Stage]:
         )
         return recognizer.sanitize_tree(norm_train, accountant=ctx.accountant)
 
-    def pattern_train(ctx, sanitized_levels):
-        recognizer = PatternRecognizer(
-            config.epsilon_pattern, config.pattern, rng=ctx.rng
-        )
-        grid_shape = sanitized_levels[0].block_map.shape
-        result = recognizer.fit_sanitized(
-            sanitized_levels, config.t_train, grid_shape
-        )
-        pattern_matrix = recognizer.generate(t_test, rollout=config.rollout)
-        return result, pattern_matrix
+    def pattern_train(contexts, sanitized_levels):
+        jobs = [
+            (
+                PatternRecognizer(config.epsilon_pattern, config.pattern, rng=ctx.rng),
+                levels,
+                config.t_train,
+                levels[0].block_map.shape,
+            )
+            for ctx, levels in zip(contexts, sanitized_levels)
+        ]
+        (first, *arguments), *peers = jobs
+        first.fit_sanitized(*arguments, peers=peers)
+        return [
+            (recognizer.result, recognizer.generate(t_test, rollout=config.rollout))
+            for recognizer, *__ in jobs
+        ]
 
     def quantize(ctx, pattern):
         __, pattern_matrix = pattern
@@ -257,6 +268,7 @@ def build_stpt_stages(config: STPTConfig, t_test: int) -> list[Stage]:
                 "rollout": config.rollout,
             },
             uses_rng=True,
+            batched=True,
         ),
         Stage(
             name="stpt/quantize",
@@ -296,7 +308,7 @@ class ShardedSTPTResult(PublicationResult):
     debited (parallel composition across disjoint subtrees), while every
     per-shard charge survives under its shard's partition key.
     ``records`` flattens the per-shard stage records in shard order,
-    stamped with the worker that ran each shard.
+    stamped with the worker that ran each shard's group.
     """
 
     sanitized_kwh: ConsumptionMatrix      # rescaled by the clipping factor
@@ -356,41 +368,51 @@ def _check_windows_fit(config: STPTConfig, grid_shape: tuple[int, int]) -> None:
         )
 
 
-def _shard_task(payload: tuple) -> dict:
-    """Self-contained single-shard publish body (RNG100-clean).
+def _shard_group_task(payload: tuple) -> list[dict]:
+    """Self-contained publish of a contiguous group of shards (RNG100-clean).
 
-    The payload carries a :class:`numpy.random.SeedSequence` child —
-    never a live generator — plus the disk ``cache_dir``; the worker
-    rebuilds its own :class:`ArtifactStore` so only the lock-protected
-    disk tier is shared between processes. The shard's whole pipeline
-    runs under one ``stpt.shard`` span, so the merged trace keeps one
-    span subtree (and one ε sub-ledger) per subtree of the grid.
+    The payload carries one :class:`numpy.random.SeedSequence` child per
+    shard — never a live generator — plus the caller's store: an
+    in-process group uses it as it is, memory tier included, while a
+    fork worker's pickled copy shares only the lock-protected disk
+    tier. The group's pipelines run in lockstep under one
+    ``stpt.shards`` span, each shard with its own generator and its own
+    ε sub-ledger.
     """
-    config, shard, seed, norm_train, norm_test, cache_dir = payload
-    store = ArtifactStore(cache_dir=cache_dir) if cache_dir is not None else None
-    rng = task_generator(seed)
-    accountant = BudgetAccountant(config.epsilon_total, partition=shard.key)
-    t_test = int(norm_test.shape[2])
+    config, shards, seeds, norm_trains, norm_tests, store = payload
+    accountants = [
+        BudgetAccountant(config.epsilon_total, partition=shard.key)
+        for shard in shards
+    ]
+    t_test = int(norm_tests[0].shape[2])
     pipeline = build_stpt_pipeline(config, t_test, store=store)
     with get_tracer().span(
-        "stpt.shard",
-        shard=shard.key,
+        "stpt.shards",
+        shards=[shard.key for shard in shards],
         epsilon_pattern=config.epsilon_pattern,
         epsilon_sanitize=config.epsilon_sanitize,
     ):
-        run = pipeline.run(
-            {"norm_train": norm_train, "norm_test": norm_test},
-            rng=rng,
-            accountant=accountant,
+        runs = pipeline.run_lockstep(
+            [
+                {"norm_train": norm_train, "norm_test": norm_test}
+                for norm_train, norm_test in zip(norm_trains, norm_tests)
+            ],
+            rngs=[task_generator(seed) for seed in seeds],
+            accountants=accountants,
         )
-    accountant.assert_within_budget()
-    __, pattern_matrix = run.artifact("pattern")
-    return {
-        "sanitized": run.artifact("sanitization").values,
-        "pattern": pattern_matrix,
-        "accountant": accountant,
-        "records": list(run.records),
-    }
+    outputs = []
+    for accountant, run in zip(accountants, runs):
+        accountant.assert_within_budget()
+        __, pattern_matrix = run.artifact("pattern")
+        outputs.append(
+            {
+                "sanitized": run.artifact("sanitization").values,
+                "pattern": pattern_matrix,
+                "accountant": accountant,
+                "records": list(run.records),
+            }
+        )
+    return outputs
 
 
 class STPT:
@@ -515,8 +537,9 @@ class STPT:
         child accountant; the parent recombines the ledgers exactly via
         :meth:`BudgetAccountant.merge`. All per-shard seed sequences
         derive before dispatch (one ``derive_seed`` from this
-        publisher's generator) and both the serial and the pooled path
-        go through :func:`repro.parallel.executor.execute`, so a
+        publisher's generator), the shards go out as ``min(workers,
+        shards)`` contiguous groups, and both the serial and the pooled
+        path go through :func:`repro.parallel.executor.execute`, so a
         ``workers=N`` run is bit-identical to ``workers=1``.
         """
         config = self.config
@@ -529,23 +552,21 @@ class STPT:
         seeds = spawn_seed_sequences(self._rng, len(shards))
         shard_config = _shard_config(config, shards[0].shape)
         store = store if store is not None else self._store
-        cache_dir = (
-            str(store.cache_dir)
-            if store is not None and store.cache_dir is not None
-            else None
-        )
         norm_train = values[:, :, : config.t_train]
         norm_test = values[:, :, config.t_train :]
+        groups = np.array_split(
+            np.arange(len(shards)), max(1, min(workers or 1, len(shards)))
+        )
         payloads = [
             (
                 shard_config,
-                shard,
-                seed,
-                shard.extract(norm_train),
-                shard.extract(norm_test),
-                cache_dir,
+                [shards[i] for i in group],
+                [seeds[i] for i in group],
+                [shards[i].extract(norm_train) for i in group],
+                [shards[i].extract(norm_test) for i in group],
+                store,
             )
-            for shard, seed in zip(shards, seeds)
+            for group in groups
         ]
         with get_tracer().span(
             "stpt.publish",
@@ -557,12 +578,12 @@ class STPT:
             shards=len(shards),
         ):
             executed = execute(
-                _shard_task,
+                _shard_group_task,
                 payloads,
                 workers=workers,
-                labels=[shard.key for shard in shards],
+                labels=[f"shards[{group[0]}:{group[-1] + 1}]" for group in groups],
             )
-        outputs = list(executed.values)
+        outputs = [out for group_outputs in executed.values for out in group_outputs]
 
         accountant = BudgetAccountant(config.epsilon_total)
         shard_accountants = [out["accountant"] for out in outputs]
@@ -576,15 +597,17 @@ class STPT:
             shards, [out["pattern"] for out in outputs], grid_shape
         )
         records = []
-        for task, out in zip(executed.tasks, outputs):
-            shard_records = [
-                replace(record, worker=task.worker) for record in out["records"]
+        for task, group_outputs in zip(executed.tasks, executed.values):
+            group_records = [
+                replace(record, worker=task.worker)
+                for out in group_outputs
+                for record in out["records"]
             ]
-            if shard_records:
-                shard_records[0] = replace(
-                    shard_records[0], queued_seconds=task.queued_seconds
+            if group_records:
+                group_records[0] = replace(
+                    group_records[0], queued_seconds=task.queued_seconds
                 )
-            records.extend(shard_records)
+            records.extend(group_records)
         elapsed = time.perf_counter() - started
         return ShardedSTPTResult(
             sanitized=ConsumptionMatrix(sanitized_values),

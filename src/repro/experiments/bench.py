@@ -1,7 +1,7 @@
 """Named benchmarks behind ``repro bench``.
 
-Each benchmark drives one subsystem — the parallel sweep, the sharded
-publish, the tracer, the flow linter or the audit suite — verifies its
+Each benchmark drives one subsystem — the parallel sweep, the tracer,
+the flow linter or the audit suite — verifies its
 outputs (bit-identity across worker counts, zero lint findings, every
 audit gate) before any timing counts, and returns a JSON-serializable
 payload. The CLI stamps the payload with the current commit and writes
@@ -9,8 +9,7 @@ it to ``BENCH_<name>.json``. The end-to-end wall time of a publish and of
 serving is measured by ``perfbench/``, not here.
 
 Speedup assertions are honest about the hardware: the parallel-sweep
-and sharded-publish targets are only asserted when the machine actually
-has four cores.
+target is only asserted when the machine actually has four cores.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ TREND_THRESHOLDS: dict[str, Threshold] = {}
 #: Sweep speedup floor asserted on machines with at least this many cores.
 _SWEEP_SPEEDUP_FLOOR = 2.0
 _SWEEP_CORE_FLOOR = 4
-#: Intra-publish sharding floor at paper scale, same core gate.
-_SHARDED_SPEEDUP_FLOOR = 4.0
 #: Ceiling on the instrumentation share of sweep wall time (NullTracer).
 _TRACE_OVERHEAD_CEILING = 0.02
 #: Whole-tree interprocedural lint pass must stay CI-friendly.
@@ -141,78 +138,6 @@ def bench_parallel_sweep(workers: int = 4) -> dict:
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(speedup, 3),
         "bit_identical": True,
-        "speedup_asserted": asserted,
-    }
-
-
-@register(
-    "sharded_publish",
-    threshold=f">= {_SHARDED_SPEEDUP_FLOOR}x one-worker vs "
-    f"{_SWEEP_CORE_FLOOR}-worker sharded paper-scale publish (asserted "
-    f"on >= {_SWEEP_CORE_FLOOR} cores); bit-identical always",
-    metrics=("speedup",),
-    floor=_SHARDED_SPEEDUP_FLOOR,
-    gate="speedup_asserted",
-)
-def bench_sharded_publish(workers: int = 4) -> dict:
-    """One paper-scale publish, sharded: 1 worker vs ``workers``.
-
-    The geometry comes from the registered ``bench-sharded-publish``
-    scenario: the 32x32 paper grid split at shard depth 2 into 16
-    disjoint quadtree subtrees, each a complete four-stage STPT run
-    under its own child accountant. Both timings run the *same* sharded
-    algorithm through the same executor path — the comparison isolates
-    process-pool fan-out, not the shard restructuring itself — so
-    bit-identity between the two releases and float-exact equality of
-    the merged ε totals are asserted unconditionally; the >= 4x speedup
-    target only on a machine with >= 4 cores.
-    """
-    resolved = resolve_scenario("bench-sharded-publish")
-    config = resolved.configs[0]
-    context = build_scenario_context(resolved, rng=resolved.spec.seeds.seed)
-    clip = context.clip_factor
-
-    serial_started = time.perf_counter()
-    serial = STPT(config, rng=11).publish(
-        context.norm, clip_scale=clip, workers=1
-    )
-    serial_seconds = time.perf_counter() - serial_started
-
-    parallel_started = time.perf_counter()
-    parallel = STPT(config, rng=11).publish(
-        context.norm, clip_scale=clip, workers=workers
-    )
-    parallel_seconds = time.perf_counter() - parallel_started
-
-    if not np.array_equal(serial.sanitized.values, parallel.sanitized.values):
-        raise AssertionError("sharded publish diverged across worker counts")
-    # Float-equal, not approx: the merged accountants ran identical
-    # per-shard arithmetic, so their totals must agree to the bit.
-    if serial.accountant.spent_epsilon != parallel.accountant.spent_epsilon:
-        raise AssertionError(
-            "merged epsilon totals diverged across worker counts"
-        )
-
-    speedup = serial_seconds / parallel_seconds
-    cpu_count = os.cpu_count() or 1
-    asserted = cpu_count >= _SWEEP_CORE_FLOOR and workers >= _SWEEP_CORE_FLOOR
-    if asserted and speedup < _SHARDED_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"sharded publish speedup {speedup:.2f}x is below the "
-            f"{_SHARDED_SPEEDUP_FLOOR}x floor on a {cpu_count}-core machine"
-        )
-    return {
-        "benchmark": "sharded_publish",
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "shard_depth": config.shard_depth,
-        "shards": len(serial.shards),
-        "epsilon_total": config.epsilon_total,
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": round(parallel_seconds, 3),
-        "speedup": round(speedup, 3),
-        "bit_identical": True,
-        "epsilon_exact": True,
         "speedup_asserted": asserted,
     }
 
@@ -550,7 +475,6 @@ __all__: Sequence[str] = [
     "bench_audit_suite",
     "bench_lint_flow",
     "bench_parallel_sweep",
-    "bench_sharded_publish",
     "bench_trace_overhead",
     "register",
     "run_benchmark",

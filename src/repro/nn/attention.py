@@ -21,6 +21,8 @@ from repro.rng import RngLike, spawn
 class PositionalEncoding(Module):
     """Additive sinusoidal positional encoding (Vaswani et al.)."""
 
+    stackable = True
+
     def __init__(self, d_model: int, max_len: int = 2048) -> None:
         super().__init__()
         if d_model <= 0 or d_model % 2 != 0:
@@ -35,7 +37,7 @@ class PositionalEncoding(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        steps = x.shape[1]
+        steps = x.shape[-2]
         if steps > self.max_len:
             raise ConfigurationError(
                 f"sequence length {steps} exceeds max_len {self.max_len}"
@@ -48,6 +50,8 @@ class PositionalEncoding(Module):
 
 class MultiHeadSelfAttention(Module):
     """Scaled dot-product self-attention over ``(batch, time, d_model)``."""
+
+    stackable = True
 
     def __init__(self, d_model: int, num_heads: int = 1, rng: RngLike = None) -> None:
         super().__init__()
@@ -68,14 +72,14 @@ class MultiHeadSelfAttention(Module):
         self._cache: tuple | None = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, __ = x.shape
-        return x.reshape(batch, steps, self.num_heads, self.d_head).transpose(
-            0, 2, 1, 3
-        )
+        """``(..., time, d_model)`` -> ``(..., heads, time, d_head)``."""
+        split = x.reshape(x.shape[:-1] + (self.num_heads, self.d_head))
+        return split.swapaxes(-3, -2)
 
     def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        batch, heads, steps, d_head = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(batch, steps, heads * d_head)
+        """``(..., heads, time, d_head)`` -> ``(..., time, d_model)``."""
+        merged = x.swapaxes(-3, -2)
+        return merged.reshape(merged.shape[:-2] + (self.d_model,))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -83,7 +87,7 @@ class MultiHeadSelfAttention(Module):
         k = self._split_heads(self.k_proj(x))
         v = self._split_heads(self.v_proj(x))
         scale = 1.0 / np.sqrt(self.d_head)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        scores = (q @ k.mT) * scale
         attn = softmax(scores, axis=-1)
         context = attn @ v
         self._cache = (q, k, v, attn, scale)
@@ -94,13 +98,13 @@ class MultiHeadSelfAttention(Module):
             raise RuntimeError("backward called before forward")
         q, k, v, attn, scale = self._cache
         d_context = self._split_heads(self.out_proj.backward(grad_out))
-        d_attn = d_context @ v.transpose(0, 1, 3, 2)
-        d_v = attn.transpose(0, 1, 3, 2) @ d_context
+        d_attn = d_context @ v.mT
+        d_v = attn.mT @ d_context
         # Softmax backward along the last axis.
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_scores *= scale
         d_q = d_scores @ k
-        d_k = d_scores.transpose(0, 1, 3, 2) @ q
+        d_k = d_scores.mT @ q
         dx = self.q_proj.backward(self._merge_heads(d_q))
         dx = dx + self.k_proj.backward(self._merge_heads(d_k))
         dx = dx + self.v_proj.backward(self._merge_heads(d_v))
@@ -116,6 +120,8 @@ class MultiHeadSelfAttention(Module):
 
 class TransformerEncoderLayer(Module):
     """Post-norm encoder block: self-attention + position-wise FFN."""
+
+    stackable = True
 
     def __init__(
         self,

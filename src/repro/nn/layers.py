@@ -4,6 +4,8 @@ Every layer follows the cache-and-backward protocol described in
 :mod:`repro.nn.module`. Inputs may carry arbitrary leading dimensions;
 layers operate on the trailing feature axis, which lets the same Linear
 serve both ``(batch, features)`` and ``(batch, time, features)`` tensors.
+A member stack's layer (parameters ``(M, *shape)``) takes inputs with a
+leading member axis ``(M, ...)``.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn.initializers import xavier_uniform, zeros
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, member_view
 from repro.rng import RngLike, ensure_rng
 
 
 class Linear(Module):
     """Affine map ``y = x W + b`` on the trailing axis."""
+
+    stackable = True
 
     def __init__(self, in_features: int, out_features: int, rng: RngLike = None,
                  bias: bool = True) -> None:
@@ -40,25 +44,32 @@ class Linear(Module):
                 f"expected trailing dim {self.in_features}, got {x.shape}"
             )
         self._cache_x = x
-        y = x @ self.weight.value
+        # A stack's weights broadcast per member, so each member runs
+        # the gemms a plain model's `x @ W` runs.
+        y = x @ member_view(self.weight.value, 2, x.ndim)
         if self.use_bias:
-            y = y + self.bias.value
+            y = y + member_view(self.bias.value, 1, x.ndim)
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        flat_x = x.reshape(-1, self.in_features)
-        flat_g = np.asarray(grad_out, dtype=float).reshape(-1, self.out_features)
-        self.weight.grad += flat_x.T @ flat_g
+        lead = self.weight.value.shape[:-2]
+        flat_x = x.reshape(lead + (-1, self.in_features))
+        flat_g = np.asarray(grad_out, dtype=float).reshape(
+            lead + (-1, self.out_features)
+        )
+        self.weight.grad += flat_x.mT @ flat_g
         if self.use_bias:
-            self.bias.grad += flat_g.sum(axis=0)
-        return (flat_g @ self.weight.value.T).reshape(x.shape)
+            self.bias.grad += flat_g.sum(axis=-2)
+        return (flat_g @ self.weight.value.mT).reshape(x.shape)
 
 
 class LayerNorm(Module):
     """Layer normalization over the trailing feature axis."""
+
+    stackable = True
 
     def __init__(self, features: int, eps: float = 1e-5) -> None:
         super().__init__()
@@ -75,17 +86,21 @@ class LayerNorm(Module):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean) * inv_std
         self._cache = (x_hat, inv_std)
-        return x_hat * self.gamma.value + self.beta.value
+        return x_hat * member_view(self.gamma.value, 1, x.ndim) + member_view(
+            self.beta.value, 1, x.ndim
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_hat, inv_std = self._cache
         grad_out = np.asarray(grad_out, dtype=float)
-        axes = tuple(range(grad_out.ndim - 1))
+        # Sum over every axis but the features and a member axis.
+        members = self.gamma.value.ndim - 1
+        axes = tuple(range(members, grad_out.ndim - 1))
         self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
-        g = grad_out * self.gamma.value
+        g = grad_out * member_view(self.gamma.value, 1, grad_out.ndim)
         n = self.features
         # Standard layer-norm backward: project out mean and x_hat components.
         dx = (
@@ -106,6 +121,12 @@ class Dropout(Module):
         self.p = p
         self._rng = ensure_rng(rng)
         self._mask: np.ndarray | None = None
+
+    @property
+    def stackable(self) -> bool:
+        # A stack would draw one mask over every member at once, not
+        # the draws each member's own model makes.
+        return self.p <= 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,6 +159,8 @@ class Tanh(Module):
 
 
 class ReLU(Module):
+    stackable = True
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None

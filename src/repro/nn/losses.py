@@ -1,4 +1,11 @@
-"""Loss functions returning ``(value, gradient)`` pairs."""
+"""Loss functions returning ``(value, gradient)`` pairs.
+
+Each takes an optional ``axis``: the mean runs over every element by
+default, or over ``axis`` only. The trainer passes its batch axis,
+``axis=-1``, so a member stack gets one loss per member, each a mean
+over that member's batch (and the gradient is scaled by the batch
+size, not the stack's).
+"""
 
 from __future__ import annotations
 
@@ -19,31 +26,44 @@ def _check_shapes(predictions: np.ndarray, targets: np.ndarray) -> tuple:
     return predictions, targets
 
 
+def _mean(values: np.ndarray, axis: int | None) -> float | np.ndarray:
+    """Mean over ``axis``: a float for a full reduction, else an array."""
+    mean = np.mean(values, axis=axis)
+    return float(mean) if np.ndim(mean) == 0 else mean
+
+
+def _count(diff: np.ndarray, axis: int | None) -> int:
+    return diff.size if axis is None else diff.shape[axis]
+
+
 def mse_loss(
-    predictions: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
+    predictions: np.ndarray, targets: np.ndarray, axis: int | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared error and its gradient w.r.t. predictions."""
     predictions, targets = _check_shapes(predictions, targets)
     diff = predictions - targets
-    value = float(np.mean(diff**2))
-    grad = (2.0 / diff.size) * diff
+    value = _mean(diff**2, axis)
+    grad = (2.0 / _count(diff, axis)) * diff
     return value, grad
 
 
 def l1_loss(
-    predictions: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
+    predictions: np.ndarray, targets: np.ndarray, axis: int | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean absolute error; gradient is the (sub)gradient sign/size."""
     predictions, targets = _check_shapes(predictions, targets)
     diff = predictions - targets
-    value = float(np.mean(np.abs(diff)))
-    grad = np.sign(diff) / diff.size
+    value = _mean(np.abs(diff), axis)
+    grad = np.sign(diff) / _count(diff, axis)
     return value, grad
 
 
 def huber_loss(
-    predictions: np.ndarray, targets: np.ndarray, delta: float = 1.0
-) -> tuple[float, np.ndarray]:
+    predictions: np.ndarray,
+    targets: np.ndarray,
+    delta: float = 1.0,
+    axis: int | None = None,
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Huber loss: quadratic near zero, linear in the tails."""
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
@@ -55,7 +75,7 @@ def huber_loss(
         quadratic, 0.5 * diff**2, delta * (abs_diff - 0.5 * delta)
     )
     grads = np.where(quadratic, diff, delta * np.sign(diff))
-    return float(np.mean(values)), grads / diff.size
+    return _mean(values, axis), grads / _count(diff, axis)
 
 
 def mse_value(predictions: np.ndarray, targets: np.ndarray) -> float:

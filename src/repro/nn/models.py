@@ -11,6 +11,10 @@ variants share the same scalar-window interface:
 * ``predict_autoregressive(seed, steps)`` rolls a model forward by
   feeding predictions back as inputs, which is how ``C_pattern`` is
   generated for the test horizon.
+
+A member stack of forecasters (:func:`repro.nn.module.stack_members`)
+maps ``(M, batch, window)`` to ``(M, batch)`` through the same
+``forward``/``backward``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from repro.rng import RngLike, spawn
 
 class SequenceForecaster(Module):
     """Base class implementing the scalar-window protocol."""
+
+    stackable = True
 
     def forward(self, windows: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -65,13 +71,16 @@ class SequenceForecaster(Module):
         return out
 
 
-def _expand_windows(windows: np.ndarray) -> np.ndarray:
+def _expand_windows(windows: np.ndarray, embed: Linear) -> np.ndarray:
+    """``(batch, window)`` -> ``(batch, window, 1)``, after a member axis if any."""
     windows = np.asarray(windows, dtype=float)
-    if windows.ndim != 2:
+    members = embed.weight.value.ndim - 2
+    if windows.ndim != members + 2:
+        expected = "(members, batch, window)" if members else "(batch, window)"
         raise ConfigurationError(
-            f"expected (batch, window) input, got shape {windows.shape}"
+            f"expected {expected} input, got shape {windows.shape}"
         )
-    return windows[:, :, None]
+    return windows[..., None]
 
 
 class _RecurrentForecaster(SequenceForecaster):
@@ -111,36 +120,36 @@ class _RecurrentForecaster(SequenceForecaster):
         self._steps: int | None = None
 
     def forward(self, windows: np.ndarray) -> np.ndarray:
-        x = _expand_windows(windows)
-        self._steps = x.shape[1]
+        x = _expand_windows(windows, self.embed)
+        self._steps = x.shape[-2]
         h = self.embed(x)
         if self.use_attention:
             h = self.attn(self.pos(h))
         hidden = self.core(h)
-        last = hidden[:, -1, :]
-        out = self.head(last)[:, 0]
+        last = hidden[..., -1, :]
+        out = self.head(last)[..., 0]
         if self.residual:
             # Predict the *change* from the last observation: keeps
             # long autoregressive roll-outs anchored to the series
             # level instead of collapsing to the training mean.
-            out = out + x[:, -1, 0]
+            out = out + x[..., -1, 0]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._steps is None:
             raise RuntimeError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=float)
-        d_last = self.head.backward(grad_out[:, None])
+        d_last = self.head.backward(grad_out[..., None])
         d_hidden = np.zeros(
-            (d_last.shape[0], self._steps, self.core.hidden_size)
+            d_last.shape[:-1] + (self._steps, self.core.hidden_size)
         )
-        d_hidden[:, -1, :] = d_last
+        d_hidden[..., -1, :] = d_last
         d_h = self.core.backward(d_hidden)
         if self.use_attention:
             d_h = self.pos.backward(self.attn.backward(d_h))
-        dx = self.embed.backward(d_h)[:, :, 0]
+        dx = self.embed.backward(d_h)[..., 0]
         if self.residual:
-            dx[:, -1] += grad_out
+            dx[..., -1] += grad_out
         return dx
 
 
@@ -207,28 +216,28 @@ class TransformerForecaster(SequenceForecaster):
         self._steps: int | None = None
 
     def forward(self, windows: np.ndarray) -> np.ndarray:
-        x = _expand_windows(windows)
-        self._steps = x.shape[1]
+        x = _expand_windows(windows, self.embed)
+        self._steps = x.shape[-2]
         h = self.pos(self.embed(x))
         for block in self.blocks:
             h = block(h)
-        out = self.head(h[:, -1, :])[:, 0]
+        out = self.head(h[..., -1, :])[..., 0]
         if self.residual:
-            out = out + x[:, -1, 0]
+            out = out + x[..., -1, 0]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._steps is None:
             raise RuntimeError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=float)
-        d_last = self.head.backward(grad_out[:, None])
-        d_h = np.zeros((d_last.shape[0], self._steps, self.embed.out_features))
-        d_h[:, -1, :] = d_last
+        d_last = self.head.backward(grad_out[..., None])
+        d_h = np.zeros(d_last.shape[:-1] + (self._steps, self.embed.out_features))
+        d_h[..., -1, :] = d_last
         for block in reversed(self.blocks):
             d_h = block.backward(d_h)
-        dx = self.embed.backward(self.pos.backward(d_h))[:, :, 0]
+        dx = self.embed.backward(self.pos.backward(d_h))[..., 0]
         if self.residual:
-            dx[:, -1] += grad_out
+            dx[..., -1] += grad_out
         return dx
 
 

@@ -13,24 +13,42 @@ define-by-run-with-manual-backward pattern:
 
 Caches hold exactly one forward pass, which is all the training loop
 ever needs (forward, loss, backward, step).
+
+*Member stacks.* :func:`stack_members` turns M same-architecture models
+into one module whose every parameter carries a leading member axis,
+``(M, *shape)``. A layer that supports the axis (``stackable``) reads
+it off its own parameters' shapes and then expects inputs with the same
+leading axis; a plain model is the case with no member axis, through
+the same code. Each member's slice goes through exactly the gemms,
+reductions and elementwise operations of the plain model, in the same
+shapes and order, so a stack trains every member bit for bit as if it
+ran alone (see ``docs/nn.md``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import copy
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient."""
+    """A trainable tensor with an accumulated gradient.
 
-    __slots__ = ("value", "grad", "name")
+    ``members`` is the length of a member stack's leading axis on
+    ``value`` and ``grad`` (0 for a plain model's parameter).
+    """
+
+    __slots__ = ("value", "grad", "name", "members")
 
     def __init__(self, value: np.ndarray, name: str = "") -> None:
         self.value = np.asarray(value, dtype=float)
         self.grad = np.zeros_like(self.value)
         self.name = name
+        self.members = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -45,6 +63,12 @@ class Parameter:
 
 class Module:
     """Base class: tracks parameters and sub-modules automatically."""
+
+    #: Whether forward/backward accept a leading member axis (see
+    #: :func:`stack_members`).
+    stackable = False
+    #: The models a member stack was built from; empty for a plain model.
+    members: tuple["Module", ...] = ()
 
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
@@ -117,7 +141,67 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def submodules(self) -> Iterator["Module"]:
+        """This module and every module below it."""
+        yield self
+        for child in self._modules.values():
+            yield from child.submodules()
+
+
+def member_view(value: np.ndarray, plain_ndim: int, ndim: int) -> np.ndarray:
+    """``value`` shaped to broadcast against an ``ndim``-dim input.
+
+    A plain parameter (``plain_ndim`` dims) broadcasts as it is. A
+    member stack's leading axis has to meet the input's leading member
+    axis, so singleton axes go in right after it.
+    """
+    if value.ndim == plain_ndim:
+        return value
+    return value.reshape(
+        value.shape[:1] + (1,) * (ndim - value.ndim) + value.shape[1:]
+    )
+
+
+def stack_members(models: Sequence[Module]) -> Module:
+    """One module holding every model's parameters on a leading member axis.
+
+    The models must share one architecture, and every module in it must
+    be ``stackable``: dropout with ``p > 0``, for instance, is not,
+    because its mask draws would depend on the stack. The stack is a
+    copy of the first model whose parameter ``(M, *shape)`` holds member
+    ``m``'s values at index ``m``; ``members`` keeps the models, so a
+    trainer can copy each member's weights back (:class:`~repro.nn.
+    training.Trainer` does this at the end of ``fit``).
+    """
+    models = list(models)
+    if not models:
+        raise ConfigurationError("a member stack needs at least one model")
+    first = models[0]
+    blocked = sorted(
+        {type(module).__name__ for module in first.submodules() if not module.stackable}
+    )
+    if blocked:
+        raise ConfigurationError(f"cannot stack members containing {blocked}")
+    states = [model.state_dict() for model in models]
+    for model, state in zip(models, states):
+        shapes = {name: value.shape for name, value in state.items()}
+        if type(model) is not type(first) or shapes != {
+            name: value.shape for name, value in states[0].items()
+        }:
+            raise ConfigurationError(
+                "members of a stack must share one architecture"
+            )
+    stack = copy.deepcopy(first)
+    for name, param in stack.named_parameters():
+        param.value = np.stack([state[name] for state in states])
+        param.grad = np.zeros_like(param.value)
+        param.members = len(models)
+    stack.members = tuple(models)
+    return stack
+
 __all__ = [
     "Parameter",
     "Module",
+    "member_view",
+    "stack_members",
 ]

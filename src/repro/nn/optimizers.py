@@ -13,7 +13,8 @@ length, so a step is a handful of in-place ``np.multiply``/``np.add``/
 per-parameter loop and no temporaries. The kernels are purely
 elementwise and follow the classic expression-per-line formulas
 operation for operation, so a step produces the same bits as updating
-each parameter on its own.
+each parameter on its own — and, for a member stack's parameters, the
+same bits for each member as its own model's step.
 
 Aliasing contract: code may update ``Parameter.value`` and
 ``Parameter.grad`` in place — backward passes accumulate with ``+=``,
@@ -58,6 +59,11 @@ class Optimizer:
             raise ConfigurationError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        if len({p.members for p in params}) > 1:
+            raise ConfigurationError(
+                "an optimizer's parameters must all be plain or all come "
+                "from one member stack"
+            )
         self.params = params
         self.lr = lr
         self._flat_value, self._flat_grad = _flatten_into_views(params)
@@ -65,7 +71,7 @@ class Optimizer:
     def zero_grad(self) -> None:
         self._flat_grad.fill(0.0)
 
-    def clip_grad_norm(self, max_norm: float) -> float:
+    def clip_grad_norm(self, max_norm: float) -> float | np.ndarray:
         """Global-L2 gradient clip over this optimizer's parameters."""
         return clip_grad_norm(self.params, max_norm)
 
@@ -174,25 +180,44 @@ class Adam(Optimizer):
         np.subtract(value, update, out=value)
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
+def clip_grad_norm(params, max_norm: float) -> float | np.ndarray:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm, which training loops can log to detect
     exploding gradients. Scaling is in place (``*=``), so the gradients
     stay views of their optimizer's flat buffer.
+
+    A member stack's parameters (``Parameter.members > 0``) carry a
+    leading member axis: each member is clipped to its own global norm,
+    exactly as its own model's clip would, and the return value holds
+    the per-member norms.
     """
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be positive")
     params = list(params)
-    # One sum of squares per parameter, added in parameter order. The
-    # reduce is the one np.sum(g**2) runs, minus its Python wrapper.
-    squares = sum(float(np.add.reduce(np.square(p.grad), axis=None)) for p in params)
-    total = float(np.sqrt(squares))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in params:
-            p.grad *= scale
-    return total
+    members = params[0].members if params else 0
+    # A stack's member m is row m of each gradient's (members, -1) view.
+    grads = (
+        [p.grad.reshape(members, -1) for p in params]
+        if members
+        else [p.grad for p in params]
+    )
+    # One sum of squares per parameter (and member), added in parameter
+    # order. The reduce is the one np.sum(g**2) runs; over a row it runs
+    # the same pairwise sum over the same elements as on that member's
+    # own gradient.
+    axis = 1 if members else None
+    squares = sum(np.add.reduce(np.square(g), axis=axis) for g in grads)
+    total = np.sqrt(squares)
+    clipped = total > max_norm
+    if np.count_nonzero(clipped):
+        # Unclipped members scale by exactly 1.0, which keeps their bits.
+        scale = np.divide(max_norm, total, out=np.ones_like(total), where=clipped)
+        if members:
+            scale = scale[:, None]
+        for g in grads:
+            g *= scale
+    return total if members else float(total)
 
 __all__ = [
     "Optimizer",

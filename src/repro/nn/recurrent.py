@@ -42,6 +42,15 @@ per timestep:
   relative to the per-step ``+=`` accumulation of
   ``cell.step_backward``, so the gradients agree with it to <= 1e-10,
   not bit-for-bit.
+
+A member stack (see :func:`repro.nn.module.stack_members`) runs the
+same code with a member axis ahead of the batch: inputs ``(M, batch,
+time, features)``, and the RNN's and GRU's time-major buffers become
+``(time, M, batch, ·)``. Every gemm then runs once per member in the
+plain model's shape, and every
+elementwise operation and reduction sees each member's elements in the
+plain order, so each member's outputs and gradients are bit-identical
+to running its own model. The cells' ``step`` runs one plain model.
 """
 
 from __future__ import annotations
@@ -51,12 +60,15 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.nn.initializers import orthogonal, xavier_uniform, zeros
 from repro.nn.layers import sigmoid
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, member_view
 from repro.rng import RngLike, spawn
 
 
 class RNNCell(Module):
     """Elman cell ``h' = tanh(x W + h U + b)``."""
+
+    #: The sequence wrapper's parameter holder; ``step`` runs one model.
+    stackable = True
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
@@ -89,6 +101,8 @@ class GRUCell(Module):
     Uses the formulation ``n = tanh(x Wn + (r * h) Un + bn)`` with
     update ``h' = (1 - z) * n + z * h``, matching Cho et al. (2014).
     """
+
+    stackable = True
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
@@ -147,6 +161,8 @@ class GRUCell(Module):
 
 class LSTMCell(Module):
     """Long short-term memory cell (Hochreiter & Schmidhuber)."""
+
+    stackable = True
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
@@ -216,6 +232,8 @@ class LSTMCell(Module):
 class RNN(Module):
     """Unrolled Elman RNN over ``(batch, time, features)`` inputs."""
 
+    stackable = True
+
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
         self.cell = RNNCell(input_size, hidden_size, rng)
@@ -224,49 +242,51 @@ class RNN(Module):
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        batch, steps, __ = x.shape
         cell = self.cell
-        h = np.zeros((batch, self.hidden_size)) if h0 is None else h0
+        lead = cell.w.value.shape[:-2]
+        batch, steps = x.shape[-3:-1]
+        hidden = self.hidden_size
+        h = np.zeros(lead + (batch, hidden)) if h0 is None else h0
         # All input-side projections in one gemm, copied time-major so
         # every slice the recurrence touches is contiguous.
-        hidden = self.hidden_size
-        flat = x.reshape(batch * steps, cell.input_size)
+        flat = x.reshape(lead + (batch * steps, cell.input_size))
         px_tm = _time_major(flat @ cell.w.value, batch, steps)
-        outputs_tm = np.empty((steps, batch, hidden))
+        b = member_view(cell.b.value, 1, h.ndim)
+        outputs_tm = np.empty((steps,) + lead + (batch, hidden))
         h_init = h
         for t in range(steps):
             # tanh writes straight into the (contiguous) time-major slot
             # and h stays a contiguous view for the next step's gemm;
             # the produced bits match tanh-then-copy exactly.
-            h = np.tanh(px_tm[t] + h @ cell.u.value + cell.b.value,
-                        out=outputs_tm[t])
-        outputs = np.ascontiguousarray(outputs_tm.transpose(1, 0, 2))
+            h = np.tanh(px_tm[t] + h @ cell.u.value + b, out=outputs_tm[t])
+        outputs = _to_batch_major(outputs_tm)
         # hs_prev is just outputs shifted right by one step; building it
         # once here replaces a per-step copy inside the recurrence.
-        hs_prev = np.empty((batch, steps, hidden))
-        hs_prev[:, 0, :] = h_init
-        hs_prev[:, 1:, :] = outputs[:, :-1, :]
+        hs_prev = np.empty(lead + (batch, steps, hidden))
+        hs_prev[..., 0, :] = h_init
+        hs_prev[..., 1:, :] = outputs[..., :-1, :]
         self._fwd = (x, hs_prev, outputs, outputs_tm)
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
         if self._fwd is None:
             raise ConfigurationError("backward called before forward")
         x, hs_prev, outputs, outputs_tm = self._fwd
         cell = self.cell
+        lead = cell.w.value.shape[:-2]
+        batch, steps = grad_out.shape[-3:-1]
         hidden = self.hidden_size
-        u_t = cell.u.value.T
+        u_t = cell.u.value.mT
         # Time-major copies make every per-step slice contiguous, so the
         # three kernels inside the recurrence run without strided-view
         # penalties or implicit gemm copies. The tanh derivative has no
         # sequential dependency and is hoisted out as one whole-sequence
         # op on the cached time-major activations.
-        g_tm = np.ascontiguousarray(grad_out.transpose(1, 0, 2))
+        g_tm = _to_time_major(grad_out)
         d_act = 1.0 - outputs_tm**2
-        das = np.empty((steps, batch, hidden))
-        dh_next = np.zeros((batch, hidden))
+        das = np.empty((steps,) + lead + (batch, hidden))
+        dh_next = np.zeros(lead + (batch, hidden))
         for t in reversed(range(steps)):
             da = das[t]
             np.add(g_tm[t], dh_next, out=da)
@@ -275,14 +295,17 @@ class RNN(Module):
         # Back to batch-major rows, the order of the x and hs_prev
         # reshapes the stacked gemms pair the deltas with.
         flat_da = _batch_major(das)
-        cell.w.grad += x.reshape(batch * steps, cell.input_size).T @ flat_da
-        cell.u.grad += hs_prev.reshape(batch * steps, hidden).T @ flat_da
-        cell.b.grad += flat_da.sum(axis=0)
-        return (flat_da @ cell.w.value.T).reshape(batch, steps, cell.input_size)
+        rows = lead + (batch * steps,)
+        cell.w.grad += x.reshape(rows + (cell.input_size,)).mT @ flat_da
+        cell.u.grad += hs_prev.reshape(rows + (hidden,)).mT @ flat_da
+        cell.b.grad += flat_da.sum(axis=-2)
+        return (flat_da @ cell.w.value.mT).reshape(x.shape)
 
 
 class GRU(Module):
     """Unrolled GRU over ``(batch, time, features)`` inputs."""
+
+    stackable = True
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
@@ -292,63 +315,70 @@ class GRU(Module):
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        batch, steps, __ = x.shape
         cell = self.cell
+        lead = cell.w_z.value.shape[:-2]
+        batch, steps = x.shape[-3:-1]
         hidden = self.hidden_size
         # The input projections are the cell's three gemms, run once
         # over every timestep. z and r land side by side in one buffer
         # (a gemm's output stride does not change its bits), and both
         # buffers are copied time-major once, so every slice the
         # recurrence reads is contiguous.
-        flat = x.reshape(batch * steps, cell.input_size)
-        px_zr = np.empty((batch * steps, 2 * hidden))
-        np.matmul(flat, cell.w_z.value, out=px_zr[:, :hidden])
-        np.matmul(flat, cell.w_r.value, out=px_zr[:, hidden:])
+        flat = x.reshape(lead + (batch * steps, cell.input_size))
+        px_zr = np.empty(lead + (batch * steps, 2 * hidden))
+        np.matmul(flat, cell.w_z.value, out=px_zr[..., :hidden])
+        np.matmul(flat, cell.w_r.value, out=px_zr[..., hidden:])
         px_zr = _time_major(px_zr, batch, steps)
         px_n = _time_major(flat @ cell.w_n.value, batch, steps)
-        b_zr = np.concatenate([cell.b_z.value, cell.b_r.value])
+        b_zr = member_view(
+            np.concatenate([cell.b_z.value, cell.b_r.value], axis=-1),
+            1, len(lead) + 2,
+        )
+        b_n = member_view(cell.b_n.value, 1, len(lead) + 2)
         # states[t] is the hidden state entering step t, so hs_prev is
         # states[:-1] and the outputs are states[1:], with no copies.
-        states = np.empty((steps + 1, batch, hidden))
+        states = np.empty((steps + 1,) + lead + (batch, hidden))
         states[0] = 0.0 if h0 is None else h0
-        zrs = np.empty((steps, batch, 2 * hidden))  # [z | r] activations
-        rhs = np.empty((steps, batch, hidden))
-        ns = np.empty((steps, batch, hidden))
+        # [z | r] activations
+        zrs = np.empty((steps,) + lead + (batch, 2 * hidden))
+        rhs = np.empty((steps,) + lead + (batch, hidden))
+        ns = np.empty((steps,) + lead + (batch, hidden))
         for t in range(steps):
             h = states[t]
             # (x@W + h@U) + b per gate, as in GRUCell.step: the z and r
             # pre-activations fill one [a_z | a_r] buffer, which takes
             # each addition and the sigmoid in one call.
             zr = zrs[t]
-            np.matmul(h, cell.u_z.value, out=zr[:, :hidden])
-            np.matmul(h, cell.u_r.value, out=zr[:, hidden:])
+            np.matmul(h, cell.u_z.value, out=zr[..., :hidden])
+            np.matmul(h, cell.u_r.value, out=zr[..., hidden:])
             np.add(px_zr[t], zr, out=zr)
             zr += b_zr
             zr[...] = sigmoid(zr)
-            z = zr[:, :hidden]
-            rh = np.multiply(zr[:, hidden:], h, out=rhs[t])
+            z = zr[..., :hidden]
+            rh = np.multiply(zr[..., hidden:], h, out=rhs[t])
             n = np.matmul(rh, cell.u_n.value, out=ns[t])
             np.add(px_n[t], n, out=n)
-            n += cell.b_n.value
+            n += b_n
             np.tanh(n, out=n)
             np.add((1.0 - z) * n, z * h, out=states[t + 1])
         self._fwd = (x, states, zrs, rhs, ns)
-        return np.ascontiguousarray(states[1:].transpose(1, 0, 2))
+        return _to_batch_major(states[1:])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
         if self._fwd is None:
             raise ConfigurationError("backward called before forward")
         x, states, zrs, rhs, ns = self._fwd
         cell = self.cell
+        lead = cell.w_z.value.shape[:-2]
+        batch, steps = grad_out.shape[-3:-1]
         hidden = self.hidden_size
         hs_prev = states[:-1]
-        zs = zrs[:, :, :hidden]
-        rs = zrs[:, :, hidden:]
-        uz_t = cell.u_z.value.T
-        ur_t = cell.u_r.value.T
-        un_t = cell.u_n.value.T
+        zs = zrs[..., :hidden]
+        rs = zrs[..., hidden:]
+        uz_t = cell.u_z.value.mT
+        ur_t = cell.u_r.value.mT
+        un_t = cell.u_n.value.mT
         # Every gate-derivative factor is elementwise in cached forward
         # activations, so all three are hoisted out of the recurrence
         # as whole-sequence ops; the loop keeps only the dh/drh
@@ -357,11 +387,11 @@ class GRU(Module):
         fac_n = (1.0 - zs) * (1.0 - ns**2)
         fac_z = (hs_prev - ns) * zs * (1.0 - zs)
         fac_r = hs_prev * rs * (1.0 - rs)
-        g_tm = np.ascontiguousarray(grad_out.transpose(1, 0, 2))
-        das_z = np.empty((steps, batch, hidden))
-        das_r = np.empty((steps, batch, hidden))
-        das_n = np.empty((steps, batch, hidden))
-        dh_next = np.zeros((batch, hidden))
+        g_tm = _to_time_major(grad_out)
+        das_z = np.empty((steps,) + lead + (batch, hidden))
+        das_r = np.empty((steps,) + lead + (batch, hidden))
+        das_n = np.empty((steps,) + lead + (batch, hidden))
+        dh_next = np.zeros(lead + (batch, hidden))
         for t in reversed(range(steps)):
             dh = g_tm[t] + dh_next
             da_n = np.multiply(dh, fac_n[t], out=das_n[t])
@@ -374,29 +404,31 @@ class GRU(Module):
             dh_next += da_r @ ur_t
         # A stacked gemm sums over its rows in order, so the deltas and
         # the states they pair with go back to batch-major row order.
-        x_flat = x.reshape(batch * steps, cell.input_size)
+        x_flat = x.reshape(lead + (batch * steps, cell.input_size))
         h_flat = _batch_major(hs_prev)
         rh_flat = _batch_major(rhs)
         dz_flat = _batch_major(das_z)
         dr_flat = _batch_major(das_r)
         dn_flat = _batch_major(das_n)
-        cell.w_n.grad += x_flat.T @ dn_flat
-        cell.u_n.grad += rh_flat.T @ dn_flat
-        cell.b_n.grad += dn_flat.sum(axis=0)
-        cell.w_z.grad += x_flat.T @ dz_flat
-        cell.u_z.grad += h_flat.T @ dz_flat
-        cell.b_z.grad += dz_flat.sum(axis=0)
-        cell.w_r.grad += x_flat.T @ dr_flat
-        cell.u_r.grad += h_flat.T @ dr_flat
-        cell.b_r.grad += dr_flat.sum(axis=0)
-        dx = dn_flat @ cell.w_n.value.T
-        dx += dz_flat @ cell.w_z.value.T
-        dx += dr_flat @ cell.w_r.value.T
-        return dx.reshape(batch, steps, cell.input_size)
+        cell.w_n.grad += x_flat.mT @ dn_flat
+        cell.u_n.grad += rh_flat.mT @ dn_flat
+        cell.b_n.grad += dn_flat.sum(axis=-2)
+        cell.w_z.grad += x_flat.mT @ dz_flat
+        cell.u_z.grad += h_flat.mT @ dz_flat
+        cell.b_z.grad += dz_flat.sum(axis=-2)
+        cell.w_r.grad += x_flat.mT @ dr_flat
+        cell.u_r.grad += h_flat.mT @ dr_flat
+        cell.b_r.grad += dr_flat.sum(axis=-2)
+        dx = dn_flat @ cell.w_n.value.mT
+        dx += dz_flat @ cell.w_z.value.mT
+        dx += dr_flat @ cell.w_r.value.mT
+        return dx.reshape(x.shape)
 
 
 class LSTM(Module):
     """Unrolled LSTM over ``(batch, time, features)`` inputs."""
+
+    stackable = True
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
         super().__init__()
@@ -410,56 +442,61 @@ class LSTM(Module):
         state0: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        batch, steps, __ = x.shape
         cell = self.cell
+        lead = cell.w.value.shape[:-2]
+        batch, steps = x.shape[-3:-1]
         hidden = self.hidden_size
         if state0 is None:
-            h = np.zeros((batch, hidden))
-            c = np.zeros((batch, hidden))
+            h = np.zeros(lead + (batch, hidden))
+            c = np.zeros(lead + (batch, hidden))
         else:
             h, c = state0
-        px = (x.reshape(batch * steps, cell.input_size) @ cell.w.value).reshape(
-            batch, steps, 4 * hidden
+        rows = lead + (batch * steps,)
+        px = (x.reshape(rows + (cell.input_size,)) @ cell.w.value).reshape(
+            lead + (batch, steps, 4 * hidden)
         )
-        hs_prev = np.empty((batch, steps, hidden))
-        cs_prev = np.empty((batch, steps, hidden))
-        gates = np.empty((batch, steps, 4 * hidden))  # sigm/tanh-activated
-        tanh_cs = np.empty((batch, steps, hidden))
-        outputs = np.empty((batch, steps, hidden))
+        b = member_view(cell.b.value, 1, h.ndim)
+        hs_prev = np.empty(lead + (batch, steps, hidden))
+        cs_prev = np.empty(lead + (batch, steps, hidden))
+        # sigm/tanh-activated
+        gates = np.empty(lead + (batch, steps, 4 * hidden))
+        tanh_cs = np.empty(lead + (batch, steps, hidden))
+        outputs = np.empty(lead + (batch, steps, hidden))
         for t in range(steps):
-            hs_prev[:, t, :] = h
-            cs_prev[:, t, :] = c
-            a = px[:, t, :] + h @ cell.u.value + cell.b.value
-            i = sigmoid(a[:, :hidden])
-            f = sigmoid(a[:, hidden : 2 * hidden])
-            g = np.tanh(a[:, 2 * hidden : 3 * hidden])
-            o = sigmoid(a[:, 3 * hidden :])
+            hs_prev[..., t, :] = h
+            cs_prev[..., t, :] = c
+            a = px[..., t, :] + h @ cell.u.value + b
+            i = sigmoid(a[..., :hidden])
+            f = sigmoid(a[..., hidden : 2 * hidden])
+            g = np.tanh(a[..., 2 * hidden : 3 * hidden])
+            o = sigmoid(a[..., 3 * hidden :])
             c = f * c + i * g
             tanh_c = np.tanh(c)
             h = o * tanh_c
-            gates[:, t, :hidden] = i
-            gates[:, t, hidden : 2 * hidden] = f
-            gates[:, t, 2 * hidden : 3 * hidden] = g
-            gates[:, t, 3 * hidden :] = o
-            tanh_cs[:, t, :] = tanh_c
-            outputs[:, t, :] = h
+            gates[..., t, :hidden] = i
+            gates[..., t, hidden : 2 * hidden] = f
+            gates[..., t, 2 * hidden : 3 * hidden] = g
+            gates[..., t, 3 * hidden :] = o
+            tanh_cs[..., t, :] = tanh_c
+            outputs[..., t, :] = h
         self._fwd = (x, hs_prev, cs_prev, gates, tanh_cs)
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_out = np.asarray(grad_out, dtype=float)
-        batch, steps, __ = grad_out.shape
         if self._fwd is None:
             raise ConfigurationError("backward called before forward")
         x, hs_prev, cs_prev, gates, tanh_cs = self._fwd
         cell = self.cell
+        lead = cell.w.value.shape[:-2]
+        batch, steps = grad_out.shape[-3:-1]
         hidden = self.hidden_size
-        das = np.empty((batch, steps, 4 * hidden))
-        u_t = cell.u.value.T
-        i = gates[:, :, :hidden]
-        f = gates[:, :, hidden : 2 * hidden]
-        g = gates[:, :, 2 * hidden : 3 * hidden]
-        o = gates[:, :, 3 * hidden :]
+        das = np.empty(lead + (batch, steps, 4 * hidden))
+        u_t = cell.u.value.mT
+        i = gates[..., :hidden]
+        f = gates[..., hidden : 2 * hidden]
+        g = gates[..., 2 * hidden : 3 * hidden]
+        o = gates[..., 3 * hidden :]
         # Gate-derivative factors are elementwise in cached activations;
         # hoist them out of the recurrence as whole-sequence ops and
         # keep only the dc/dh chain (the sequential dependency) inside.
@@ -468,36 +505,49 @@ class LSTM(Module):
         fac_f = cs_prev * f * (1.0 - f)
         fac_g = i * (1.0 - g**2)
         fac_o = tanh_cs * (o * (1.0 - o))
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
+        dh_next = np.zeros(lead + (batch, hidden))
+        dc_next = np.zeros(lead + (batch, hidden))
         for t in reversed(range(steps)):
-            dh = grad_out[:, t, :] + dh_next
-            dc_total = dc_next + dh * fac_c[:, t, :]
-            da = das[:, t, :]
-            np.multiply(dc_total, fac_i[:, t, :], out=da[:, :hidden])
-            np.multiply(dc_total, fac_f[:, t, :], out=da[:, hidden : 2 * hidden])
-            np.multiply(dc_total, fac_g[:, t, :], out=da[:, 2 * hidden : 3 * hidden])
-            np.multiply(dh, fac_o[:, t, :], out=da[:, 3 * hidden :])
-            dc_next = dc_total * f[:, t, :]
+            dh = grad_out[..., t, :] + dh_next
+            dc_total = dc_next + dh * fac_c[..., t, :]
+            da = das[..., t, :]
+            np.multiply(dc_total, fac_i[..., t, :], out=da[..., :hidden])
+            np.multiply(dc_total, fac_f[..., t, :], out=da[..., hidden : 2 * hidden])
+            np.multiply(dc_total, fac_g[..., t, :], out=da[..., 2 * hidden : 3 * hidden])
+            np.multiply(dh, fac_o[..., t, :], out=da[..., 3 * hidden :])
+            dc_next = dc_total * f[..., t, :]
             dh_next = da @ u_t
-        flat_da = das.reshape(batch * steps, 4 * hidden)
-        cell.w.grad += x.reshape(batch * steps, cell.input_size).T @ flat_da
-        cell.u.grad += hs_prev.reshape(batch * steps, hidden).T @ flat_da
-        cell.b.grad += flat_da.sum(axis=0)
-        return (flat_da @ cell.w.value.T).reshape(batch, steps, cell.input_size)
+        rows = lead + (batch * steps,)
+        flat_da = das.reshape(rows + (4 * hidden,))
+        cell.w.grad += x.reshape(rows + (cell.input_size,)).mT @ flat_da
+        cell.u.grad += hs_prev.reshape(rows + (hidden,)).mT @ flat_da
+        cell.b.grad += flat_da.sum(axis=-2)
+        return (flat_da @ cell.w.value.mT).reshape(x.shape)
+
+
+def _to_time_major(seq: np.ndarray) -> np.ndarray:
+    """``(..., batch, time, k)`` -> contiguous ``(time, ..., batch, k)``."""
+    last = seq.ndim - 1
+    return np.ascontiguousarray(seq.transpose(last - 1, *range(last - 1), last))
+
+
+def _to_batch_major(seq: np.ndarray) -> np.ndarray:
+    """``(time, ..., batch, k)`` -> contiguous ``(..., batch, time, k)``."""
+    last = seq.ndim - 1
+    return np.ascontiguousarray(seq.transpose(*range(1, last), 0, last))
 
 
 def _time_major(flat: np.ndarray, batch: int, steps: int) -> np.ndarray:
-    """``(batch*time, k)`` rows in batch-major order -> ``(time, batch, k)``."""
-    return np.ascontiguousarray(
-        flat.reshape(batch, steps, flat.shape[1]).transpose(1, 0, 2)
+    """``(..., batch*time, k)`` batch-major rows -> ``(time, ..., batch, k)``."""
+    return _to_time_major(
+        flat.reshape(flat.shape[:-2] + (batch, steps, flat.shape[-1]))
     )
 
 
 def _batch_major(seq: np.ndarray) -> np.ndarray:
-    """``(time, batch, k)`` -> contiguous ``(batch*time, k)``, batch-major rows."""
-    steps, batch, width = seq.shape
-    return np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(batch * steps, width)
+    """``(time, ..., batch, k)`` -> contiguous ``(..., batch*time, k)``, batch-major rows."""
+    rows = _to_batch_major(seq)
+    return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
 
 
 def _check_sizes(input_size: int, hidden_size: int) -> None:

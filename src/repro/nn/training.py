@@ -4,13 +4,19 @@ STPT's pattern-recognition phase sweeps a fixed-size window over each
 (sanitized) representative time series, producing supervised pairs
 ``(window, next value)``. Series are *stacked, not concatenated*
 (Section 4.2) — a window never straddles two series.
+
+The :class:`Trainer` also trains a *member stack*
+(:func:`repro.nn.module.stack_members`): M same-architecture models
+that share every step's forward, backward, clip and optimizer call,
+each with its own data, generator and minibatch order, and each ending
+with the weights its own ``fit`` would have given it, bit for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -78,20 +84,39 @@ def iterate_minibatches(
     inputs: np.ndarray,
     targets: np.ndarray,
     batch_size: int,
-    rng: RngLike = None,
+    rng: Union[RngLike, Sequence[RngLike]] = None,
     shuffle: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield mini-batches; the final partial batch is kept."""
+    """Yield mini-batches; the final partial batch is kept.
+
+    For a member stack, ``inputs`` and ``targets`` lead with a member
+    axis, ``(M, samples, ...)``, and ``rng`` is a sequence of M
+    generators: each member shuffles its samples with its own, and a
+    batch holds every member's next slice of its own order.
+    """
     if batch_size <= 0:
         raise ConfigurationError("batch_size must be positive")
-    if len(inputs) != len(targets):
+    stacked = isinstance(rng, Sequence)
+    members = (np.arange(len(rng))[:, None],) if stacked else ()
+    axes = len(members) + 1
+    if inputs.shape[:axes] != targets.shape[:axes]:
         raise ConfigurationError("inputs and targets must have equal length")
-    order = np.arange(len(inputs))
-    if shuffle:
-        ensure_rng(rng).shuffle(order)
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        yield inputs[idx], targets[idx]
+    samples = inputs.shape[axes - 1]
+    orders = [
+        _epoch_order(samples, generator) if shuffle else np.arange(samples)
+        for generator in (rng if stacked else [rng])
+    ]
+    order = np.stack(orders).reshape(inputs.shape[:axes])
+    for start in range(0, samples, batch_size):
+        pick = members + (order[..., start : start + batch_size],)
+        yield inputs[pick], targets[pick]
+
+
+def _epoch_order(samples: int, rng: RngLike) -> np.ndarray:
+    """One epoch's shuffled sample order."""
+    order = np.arange(samples)
+    ensure_rng(rng).shuffle(order)
+    return order
 
 
 @dataclass
@@ -122,20 +147,27 @@ class Trainer:
     32, 20 epochs, MSE loss. Gradients are clipped to a global norm of
     5 to keep BPTT stable on noisy (DP-sanitized) training data;
     ``grad_clip=0`` disables the clip. The clip covers the parameters
-    the optimizer steps.
+    the optimizer steps. ``loss_fn(predictions, targets, axis=-1)``
+    returns the loss, a mean over the batch axis, and its gradient.
+
+    ``model`` may be a member stack: then ``rng`` gives one generator
+    per member, :meth:`fit` takes one input and one target array per
+    member (all of one length) and returns one history per member, and
+    each member's loss, gradient clip and minibatch order are its own.
+    A stack trains without a validation split or early stopping.
     """
 
     def __init__(
         self,
         model: SequenceForecaster,
         optimizer: Optimizer | None = None,
-        loss_fn: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]] = mse_loss,
+        loss_fn: Callable[..., tuple[float | np.ndarray, np.ndarray]] = mse_loss,
         epochs: int = 20,
         batch_size: int = 32,
         grad_clip: float = 5.0,
         validation_fraction: float = 0.0,
         patience: int | None = None,
-        rng: RngLike = None,
+        rng: Union[RngLike, Sequence[RngLike]] = None,
     ) -> None:
         if epochs <= 0:
             raise ConfigurationError("epochs must be positive")
@@ -154,6 +186,23 @@ class Trainer:
                 raise ConfigurationError(
                     "early stopping needs a validation split"
                 )
+        members = len(model.members)
+        if members and (validation_fraction > 0.0 or patience is not None):
+            raise ConfigurationError(
+                "a member stack trains without a validation split or "
+                "early stopping"
+            )
+        if not members:
+            rngs = [rng]
+        elif rng is None:
+            rngs = [None] * members
+        elif isinstance(rng, Sequence) and len(rng) == members:
+            rngs = list(rng)
+        else:
+            raise ConfigurationError(
+                f"a stack of {members} members needs a sequence of "
+                f"{members} generators, got {rng!r}"
+            )
         self.model = model
         self.optimizer = optimizer or RMSProp(list(model.parameters()), lr=1e-3)
         self.loss_fn = loss_fn
@@ -162,18 +211,44 @@ class Trainer:
         self.grad_clip = grad_clip
         self.validation_fraction = validation_fraction
         self.patience = patience
-        self._rng = ensure_rng(rng)
+        self._rngs = [ensure_rng(generator) for generator in rngs]
+        self._rng = self._rngs[0]
 
-    def fit(self, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if len(inputs) != len(targets):
+    def fit(
+        self,
+        inputs: np.ndarray | Sequence[np.ndarray],
+        targets: np.ndarray | Sequence[np.ndarray],
+    ) -> TrainingHistory | list[TrainingHistory]:
+        members = self.model.members
+        if members:
+            if len(inputs) != len(members) or len(targets) != len(members):
+                raise ConfigurationError(
+                    f"a stack of {len(members)} members needs one input and "
+                    f"one target array per member, got {len(inputs)} and "
+                    f"{len(targets)}"
+                )
+            pairs = list(zip(inputs, targets))
+        else:
+            pairs = [(inputs, targets)]
+        pairs = [
+            (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            for x, y in pairs
+        ]
+        for x, y in pairs:
+            if len(x) != len(y):
+                raise ConfigurationError(f"{len(x)} inputs but {len(y)} targets")
+        samples = {len(x) for x, __ in pairs}
+        if len(samples) > 1:
             raise ConfigurationError(
-                f"{len(inputs)} inputs but {len(targets)} targets"
+                f"members with unequal sample counts {sorted(samples)} cannot "
+                "share minibatch steps"
             )
-        if len(inputs) == 0:
+        if not samples.pop():
             raise TrainingError("no training samples")
+        val_x = val_y = None
         if self.validation_fraction > 0.0:
+            # Plain models only: __init__ refuses a split for a stack.
+            ((inputs, targets),) = pairs
             order = np.arange(len(inputs))
             self._rng.shuffle(order)
             cut = max(1, int(len(inputs) * self.validation_fraction))
@@ -181,19 +256,28 @@ class Trainer:
                 raise TrainingError("validation split leaves no training data")
             val_idx, train_idx = order[:cut], order[cut:]
             val_x, val_y = inputs[val_idx], targets[val_idx]
-            inputs, targets = inputs[train_idx], targets[train_idx]
-        else:
-            val_x = val_y = None
+            pairs = [(inputs[train_idx], targets[train_idx])]
+        # A stack's arrays lead with the member axis; a plain model's
+        # have none, and every line below serves both.
+        lead = (len(members),) if members else ()
+        inputs = np.stack([x for x, __ in pairs]).reshape(lead + pairs[0][0].shape)
+        targets = np.stack([y for __, y in pairs]).reshape(lead + pairs[0][1].shape)
+        samples = targets.shape[-1]
+        rngs = self._rngs if members else self._rng
 
         tracer = get_tracer()
         metrics = get_metrics()
-        history = TrainingHistory()
+        histories = [TrainingHistory() for __ in self._rngs]
+        history = histories[0]
         best_val = np.inf
         best_state: dict | None = None
         epochs_since_best = 0
         self.model.train()
         with tracer.span(
-            "nn.fit", epochs=self.epochs, samples=len(inputs)
+            "nn.fit",
+            epochs=self.epochs,
+            samples=samples,
+            members=len(members),
         ) as fit_span:
             for epoch in range(self.epochs):
                 epoch_loss = 0.0
@@ -201,12 +285,12 @@ class Trainer:
                 grad_norm = 0.0
                 with tracer.span("nn.epoch", epoch=epoch) as epoch_span:
                     for batch_x, batch_y in iterate_minibatches(
-                        inputs, targets, self.batch_size, rng=self._rng
+                        inputs, targets, self.batch_size, rng=rngs
                     ):
                         step_started = time.perf_counter()
                         self.optimizer.zero_grad()
                         preds = self.model(batch_x)
-                        loss, grad = self.loss_fn(preds, batch_y)
+                        loss, grad = self.loss_fn(preds, batch_y, axis=-1)
                         self.model.backward(grad)
                         if self.grad_clip:
                             grad_norm = self.optimizer.clip_grad_norm(
@@ -217,14 +301,17 @@ class Trainer:
                             "nn.step.seconds",
                             time.perf_counter() - step_started,
                         )
-                        epoch_loss += loss * len(batch_x)
-                        count += len(batch_x)
+                        # One float per model, one array per stack.
+                        epoch_loss = epoch_loss + loss * batch_y.shape[-1]
+                        count += batch_y.shape[-1]
                     mean_loss = epoch_loss / count
-                    epoch_span.set_attribute("loss", mean_loss)
-                    epoch_span.set_attribute("grad_norm", grad_norm)
-                metrics.gauge("nn.epoch.loss", mean_loss)
-                metrics.gauge("nn.grad_norm", grad_norm)
-                history.epoch_losses.append(mean_loss)
+                    # A stack reports its worst member.
+                    epoch_span.set_attribute("loss", float(np.max(mean_loss)))
+                    epoch_span.set_attribute("grad_norm", float(np.max(grad_norm)))
+                metrics.gauge("nn.epoch.loss", float(np.max(mean_loss)))
+                metrics.gauge("nn.grad_norm", float(np.max(grad_norm)))
+                for member_history, loss in zip(histories, np.ravel(mean_loss)):
+                    member_history.epoch_losses.append(float(loss))
 
                 if val_x is not None:
                     # Gradient-free loss: validation only needs the scalar.
@@ -248,12 +335,20 @@ class Trainer:
                         ):
                             history.stopped_early = True
                             break
-            fit_span.set_attribute("final_loss", history.epoch_losses[-1])
+            fit_span.set_attribute(
+                "final_loss", max(h.epoch_losses[-1] for h in histories)
+            )
             fit_span.set_attribute("stopped_early", history.stopped_early)
         if best_state is not None:
             self.model.load_state_dict(best_state)
         self.model.eval()
-        return history
+        stack = dict(self.model.named_parameters())
+        for index, member in enumerate(members):
+            member.load_state_dict(
+                {name: param.value[index] for name, param in stack.items()}
+            )
+            member.eval()
+        return histories if members else histories[0]
 
     def evaluate(
         self, inputs: np.ndarray, targets: np.ndarray

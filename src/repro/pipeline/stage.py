@@ -12,7 +12,13 @@ break the privacy accounting, so ``spends_budget=True`` together with
 
 The stage body receives a :class:`StageContext` (rng + accountant) plus
 its declared inputs as keyword arguments and returns the output
-artifact value.
+artifact value. A ``batched`` stage's body instead takes every run of
+a lockstep execution at once (see
+:meth:`repro.pipeline.Pipeline.run_lockstep`): a list of contexts and,
+per declared input, a list of values, one per run; it returns a list
+of outputs in the same order. Its outputs must not depend on which runs
+share the call, so each run's artifact — and cache entry — is the one a
+call for that run alone would make.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class Stage:
     spends_budget: bool = False      #: declared privacy charge
     uses_rng: bool = False           #: consumes the run's generator
     cacheable: bool | None = None    #: default: ``not spends_budget``
+    batched: bool = False            #: ``fn`` takes all runs' inputs at once
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -67,6 +67,9 @@ class ArtifactStore:
     ``<cache_dir>/<key>.pkl`` and ``get`` falls back to disk on a memory
     miss — which is how a warm cache survives across processes (the CLI
     ``--cache-dir`` flag).
+
+    A pickled store (the copy a fork worker receives) carries only its
+    disk tier: the memory tier stays with the process that filled it.
     """
 
     def __init__(self, cache_dir: str | Path | None = None) -> None:
@@ -83,6 +86,12 @@ class ArtifactStore:
                 raise ConfigurationError(
                     f"cache_dir {self._dir} is not a directory: {error}"
                 ) from error
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {"cache_dir": self._dir}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__init__(state["cache_dir"])
 
     # ------------------------------------------------------------------
     # core protocol

@@ -242,24 +242,6 @@ BENCH_TRACE_OVERHEAD = register_scenario(
     )
 )
 
-#: ``bench sharded_publish``: one paper-scale release split across the
-#: 16 disjoint quadtree subtrees at shard depth 2 — the intra-publish
-#: parallelism benchmark (CLI-scale model sizes, like publish-default).
-BENCH_SHARDED_PUBLISH = register_scenario(
-    ScenarioSpec(
-        name="bench-sharded-publish",
-        description="paper scale: one sharded publish fanned across the "
-        "16 quadtree subtrees at shard depth 2",
-        kind="bench",
-        dataset=DatasetRef("CER"),
-        scale="paper",
-        geometry=GeometryOverrides(embed_dim=32, hidden_dim=32),
-        mechanism=MechanismSpec(overrides=(("shard_depth", 2),)),
-        seeds=SeedPolicy(seed=7),
-        tags=("sharded",),
-    )
-)
-
 # -- adversarial audits ----------------------------------------------
 
 #: ``repro audit run``: empirical ε lower bound on the full staged
@@ -370,7 +352,6 @@ __all__ = [
     "AUDIT_COMPOSED_STPT",
     "AUDIT_FRONTIER",
     "BENCH_DEFAULT",
-    "BENCH_SHARDED_PUBLISH",
     "BENCH_TRACE_OVERHEAD",
     "FIG7_WPO",
     "FIG8AB_BUDGET",

@@ -35,6 +35,25 @@ class TestMSE:
             mse_loss(np.array([]), np.array([]))
 
 
+class TestLossAxis:
+    @pytest.mark.parametrize("loss", [mse_loss, l1_loss, huber_loss])
+    def test_axis_gives_one_loss_per_row(self, loss, rng):
+        # A member stack's (members, batch) predictions: each row is
+        # one member's batch, reduced exactly as on its own.
+        preds = rng.standard_normal((3, 7)) * 2
+        targets = rng.standard_normal((3, 7))
+        values, grads = loss(preds, targets, axis=-1)
+        assert values.shape == (3,)
+        for row in range(3):
+            value, grad = loss(preds[row], targets[row])
+            assert values[row] == value
+            np.testing.assert_array_equal(grads[row], grad)
+
+    def test_full_reduction_stays_a_float(self, rng):
+        value, __ = mse_loss(rng.standard_normal(5), rng.standard_normal(5), axis=-1)
+        assert isinstance(value, float)
+
+
 class TestL1:
     def test_value(self):
         value, __ = l1_loss(np.array([1.0, -3.0]), np.array([0.0, 0.0]))

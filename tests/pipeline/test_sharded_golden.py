@@ -16,14 +16,25 @@ that makes intra-publish parallelism safe to ship:
 * the goldens themselves are ``float.hex`` literals, so any change
   that perturbs one noise draw in one shard trips the comparison.
 
+A worker publishes its contiguous group of shards in lockstep and
+trains the group's forecasters as one member stack, so the worker count
+sets the group sizes (4; 2 and 2; 2, 1 and 1): the goldens must hold at
+each. ``TestShardedLockstep`` pins what lockstep keeps per shard: cache
+dispositions (memory and disk tiers), records and their worker tags,
+and stage times that add up instead of repeating.
+
 Geometry is the 8x8x24 golden matrix at shard depth 1 (four 4x4
 subtrees) — small enough for the tier-1 suite.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.pattern import PatternConfig
-from repro.core.stpt import STPT, STPTConfig
+from repro.core.stpt import STPT, STPT_STAGES, STPTConfig
+from repro.data.matrix import ConsumptionMatrix
+from repro.obs import Tracer, use_tracer
+from repro.pipeline import ArtifactStore
 from tests.pipeline.test_determinism_golden import golden_matrix
 
 GOLDEN_SUM = float.fromhex("0x1.32845328e1197p+9")
@@ -67,9 +78,11 @@ def sharded_config() -> STPTConfig:
     )
 
 
-def publish(workers=None):
-    return STPT(sharded_config(), rng=1234).publish(
-        golden_matrix(), clip_scale=2.0, workers=workers
+def publish(workers=None, store=None, matrix=None):
+    return STPT(sharded_config(), rng=1234, store=store).publish(
+        matrix if matrix is not None else golden_matrix(),
+        clip_scale=2.0,
+        workers=workers,
     )
 
 
@@ -97,20 +110,22 @@ class TestShardedGolden:
 
     def test_two_workers_bit_identical_to_one(self):
         serial = publish(workers=1)
-        parallel = publish(workers=2)
-        np.testing.assert_array_equal(
-            serial.sanitized.values, parallel.sanitized.values
-        )
-        np.testing.assert_array_equal(
-            serial.pattern_matrix, parallel.pattern_matrix
-        )
-        assert_matches_goldens(parallel)
-        # Merged totals are float-equal, not approximately equal: the
-        # merge debits the exact maximum of the shard spends.
-        assert (
-            serial.accountant.spent_epsilon
-            == parallel.accountant.spent_epsilon
-        )
+        # Two groups of 2 shards, then uneven groups of 2, 1 and 1.
+        for workers in (2, 3):
+            parallel = publish(workers=workers)
+            np.testing.assert_array_equal(
+                serial.sanitized.values, parallel.sanitized.values
+            )
+            np.testing.assert_array_equal(
+                serial.pattern_matrix, parallel.pattern_matrix
+            )
+            assert_matches_goldens(parallel)
+            # Merged totals are float-equal, not approximately equal:
+            # the merge debits the exact maximum of the shard spends.
+            assert (
+                serial.accountant.spent_epsilon
+                == parallel.accountant.spent_epsilon
+            )
 
     def test_parallel_composition_spends_one_budget(self):
         result = publish(workers=1)
@@ -133,3 +148,64 @@ class TestShardedGolden:
         # 4 shards x 4 stages, every record tagged with a worker.
         assert len(result.records) == 16
         assert all(record.worker for record in result.records)
+
+
+def cached(result, stage):
+    return [record.cached for record in result.records if record.stage == stage]
+
+
+class TestShardedLockstep:
+    def test_memory_only_store_serves_a_serial_sharded_publish(self):
+        store = ArtifactStore()
+        first = publish(store=store)
+        second = publish(store=store)
+        assert cached(first, "stpt/pattern-train") == [False] * 4
+        assert cached(second, "stpt/pattern-train") == [True] * 4
+        assert cached(second, "stpt/quantize") == [True] * 4
+        np.testing.assert_array_equal(
+            first.sanitized.values, second.sanitized.values
+        )
+        assert_matches_goldens(second)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partially_warm_disk_cache(self, tmp_path, workers):
+        publish(workers=workers, store=ArtifactStore(cache_dir=tmp_path))
+        changed = golden_matrix().values.copy()
+        changed[4:, 4:, :] *= 1.25  # shard3[4:8,4:8], training days included
+        changed = ConsumptionMatrix(changed)
+        warm = publish(
+            workers=workers, store=ArtifactStore(cache_dir=tmp_path), matrix=changed
+        )
+        cold = publish(workers=workers, matrix=changed)
+        assert cached(warm, "stpt/pattern-train") == [True, True, True, False]
+        np.testing.assert_array_equal(warm.sanitized.values, cold.sanitized.values)
+        np.testing.assert_array_equal(warm.pattern_matrix, cold.pattern_matrix)
+        assert warm.accountant.spent_epsilon == cold.accountant.spent_epsilon
+
+    def test_every_shard_keeps_four_records_tagged_with_its_worker(self):
+        result = publish(workers=3)
+        assert [record.stage for record in result.records] == list(STPT_STAGES) * 4
+        workers = [
+            {record.worker for record in result.records[4 * shard : 4 * shard + 4]}
+            for shard in range(4)
+        ]
+        assert all(len(tags) == 1 and None not in tags for tags in workers)
+        # Shards 0 and 1 form the first group, so one worker ran both.
+        assert workers[0] == workers[1]
+
+    def test_group_pattern_train_seconds_add_up_to_one_fit(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = publish(workers=1)
+        (stage,) = [
+            span for span in tracer.spans
+            if span.name == "pipeline.stage"
+            and span.attributes["stage"] == "stpt/pattern-train"
+        ]
+        (fit,) = [span for span in tracer.spans if span.name == "nn.fit"]
+        assert fit.attributes["members"] == 4
+        seconds = sum(
+            record.seconds for record in result.records
+            if record.stage == "stpt/pattern-train"
+        )
+        assert fit.wall_seconds <= seconds <= stage.wall_seconds

@@ -1,5 +1,7 @@
 """ArtifactStore: memory tier, disk tier, stats and the privacy guard."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,15 @@ class TestDiskTier:
         rows = fresh.entries()
         assert {row["stage"] for row in rows} == {"alpha", "beta"}
         assert {row["key"] for row in rows} == {"k1", "k2"}
+
+
+class TestPickledCopy:
+    def test_carries_only_the_disk_tier(self, tmp_path):
+        store = ArtifactStore(cache_dir=tmp_path)
+        store.put("on-disk", np.ones(3), stage="s")
+        memory_only = ArtifactStore()
+        memory_only.put("in-memory", np.ones(3), stage="s")
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy.cache_dir == store.cache_dir
+        assert np.array_equal(copy.get("on-disk").value, np.ones(3))
+        assert len(pickle.loads(pickle.dumps(memory_only))) == 0

@@ -112,19 +112,6 @@ def test_bench_trace_overhead_golden_geometry():
         assert config.pattern.embed_dim == 8
 
 
-def test_bench_sharded_publish_splits_the_paper_grid():
-    # The sharded-publish benchmark runs ONE paper-scale release split
-    # into the 16 depth-2 quadtree subtrees; the override must survive
-    # resolution so every config the bench builds is actually sharded.
-    resolved = resolve_scenario("bench-sharded-publish")
-    assert resolved.preset.grid_shape == (32, 32)
-    assert resolved.spec.seeds.seed == 7
-    config = resolved.configs[0]
-    assert config.shard_depth == 2
-    assert config.pattern.embed_dim == 32
-    assert config.pattern.hidden_dim == 32
-
-
 def test_publish_default_matches_the_cli_builtin_defaults():
     resolved = resolve_scenario("publish-default")
     assert resolved.preset.grid_shape == (32, 32)
