@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import STPT, RangeQuery, STPTConfig, build_matrices
 from repro.core.pattern import PatternConfig
-from repro.data import generate_dataset
+from repro.data import clip_factor_of, generate_dataset
 
 GRID = (16, 16)
 T_TRAIN = 40
@@ -41,7 +41,8 @@ def main() -> None:
     # A city with a hot production cluster in the south-east: place
     # most households there so the sanitized release shows the surplus.
     dataset = generate_dataset("CA", n_days=88, rng=20)
-    clip = dataset.daily_clip_factor()
+    daily = dataset.daily_readings()
+    clip = clip_factor_of(daily)
     rng = np.random.default_rng(21)
     n = dataset.n_households
     cells = np.empty((n, 2), dtype=int)
@@ -51,7 +52,7 @@ def main() -> None:
     cells[~hot, 0] = rng.integers(0, 10, size=(~hot).sum())
     cells[~hot, 1] = rng.integers(0, 10, size=(~hot).sum())
 
-    cons, norm = build_matrices(dataset.daily_readings(), cells, GRID, clip)
+    cons, norm = build_matrices(daily, cells, GRID, clip)
     config = STPTConfig(
         epsilon_pattern=10.0, epsilon_sanitize=20.0, t_train=T_TRAIN,
         quantization_levels=20,

@@ -11,7 +11,7 @@ Run:  python examples/grid_analytics.py
 
 from repro import STPT, STPTConfig, build_matrices, generate_dataset
 from repro.core.pattern import PatternConfig
-from repro.data import place_households
+from repro.data import clip_factor_of, place_households
 from repro.queries import (
     SpatialRegion,
     average_consumption,
@@ -28,9 +28,10 @@ T_TRAIN = 40
 
 def main() -> None:
     dataset = generate_dataset("TX", n_days=88, rng=60)
-    clip = dataset.daily_clip_factor()
+    daily = dataset.daily_readings()
+    clip = clip_factor_of(daily)
     cells = place_households(dataset.n_households, GRID, "la", rng=61)
-    cons, norm = build_matrices(dataset.daily_readings(), cells, GRID, clip)
+    cons, norm = build_matrices(daily, cells, GRID, clip)
 
     config = STPTConfig(
         epsilon_pattern=10.0, epsilon_sanitize=20.0, t_train=T_TRAIN,

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 from repro import STPT, STPTConfig, RangeQuery, build_matrices, generate_dataset
 from repro.core.pattern import PatternConfig
-from repro.data import place_households
+from repro.data import clip_factor_of, place_households
 from repro.queries import make_workload, workload_mre
 
 GRID = (16, 16)
@@ -19,13 +19,14 @@ T_TRAIN = 40
 def main() -> None:
     # 1. Data: 250 households, 88 days, hourly -> daily readings.
     dataset = generate_dataset("CA", n_days=88, rng=0)
-    clip = dataset.daily_clip_factor()
+    daily = dataset.daily_readings()
+    clip = clip_factor_of(daily)
     print(f"dataset: {dataset.spec.name}, {dataset.n_households} households, "
           f"{dataset.n_hours} hourly readings")
 
     # 2. Place households and build the consumption matrices.
     cells = place_households(dataset.n_households, GRID, "uniform", rng=1)
-    cons, norm = build_matrices(dataset.daily_readings(), cells, GRID, clip)
+    cons, norm = build_matrices(daily, cells, GRID, clip)
     print(f"consumption matrix: {cons.shape} (grid x grid x days)")
 
     # 3. Publish with STPT. The first T_TRAIN days feed private pattern

@@ -19,16 +19,14 @@ A full reproduction of Shaham et al., EDBT 2025. The package layers:
 Quickstart::
 
     from repro import STPT, STPTConfig, generate_dataset, build_matrices
-    from repro.data import place_households
+    from repro.data import clip_factor_of, place_households
 
     dataset = generate_dataset("CA", rng=0)
+    daily = dataset.daily_readings()
+    clip = clip_factor_of(daily)
     cells = place_households(dataset.n_households, (32, 32), "uniform", rng=1)
-    cons, norm = build_matrices(
-        dataset.daily_readings(), cells, (32, 32), dataset.daily_clip_factor()
-    )
-    result = STPT(STPTConfig(t_train=100), rng=2).publish(
-        norm, clip_scale=dataset.daily_clip_factor()
-    )
+    cons, norm = build_matrices(daily, cells, (32, 32), clip)
+    result = STPT(STPTConfig(t_train=100), rng=2).publish(norm, clip_scale=clip)
     print(result.sanitized_kwh.shape, result.epsilon_spent)
 """
 

@@ -45,7 +45,7 @@ from repro.audit import BREAK_MODES, run_composed_audit, run_frontier
 from repro.baselines.base import get_mechanism
 from repro.core.pattern import PatternConfig
 from repro.core.stpt import STPT, STPTConfig
-from repro.data.datasets import TABLE2, generate_dataset
+from repro.data.datasets import TABLE2, clip_factor_of, generate_dataset
 from repro.data.io import (
     export_matrix_csv,
     load_dataset,
@@ -562,9 +562,10 @@ def _matrices_for(args: argparse.Namespace):
     cells = place_households(
         dataset.n_households, grid, args.distribution, rng=args.seed
     )
-    clip = dataset.daily_clip_factor()
-    cons, norm = build_matrices(dataset.daily_readings(), cells, grid, clip)
-    return dataset, cons, norm, clip
+    daily = dataset.daily_readings()
+    clip = clip_factor_of(daily)
+    cons, norm = build_matrices(daily, cells, grid, clip)
+    return cons, norm, clip
 
 
 def _publish_config(
@@ -605,7 +606,7 @@ def _baseline_results(args: argparse.Namespace):
     comparison contract.
     """
     mechanism = get_mechanism(args.mechanism)
-    __, __, norm, clip = _matrices_for(args)
+    __, norm, clip = _matrices_for(args)
     test_norm = norm.time_slice(args.t_train)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else None
     generator = ensure_rng(args.seed)
@@ -647,7 +648,7 @@ def _publish_results(args: argparse.Namespace):
     """
     if args.mechanism != "STPT":
         return _baseline_results(args)
-    __, cons, norm, clip = _matrices_for(args)
+    cons, norm, clip = _matrices_for(args)
     epsilons = list(args.epsilon_sanitize)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else None
     if args.shard_depth > 0:
@@ -750,7 +751,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     _finalize_args(args, keys=_EVALUATE_KEYS)
-    __, cons, __, __ = _matrices_for(args)
+    cons, __, __ = _matrices_for(args)
     # One engine per matrix for the whole evaluation: the release comes
     # out of the same ReleaseCache the server uses, the truth engine is
     # built once and reused as both workload reference and answer table.

@@ -4,6 +4,7 @@ from repro.data.datasets import (
     DatasetSpec,
     SmartMeterDataset,
     TABLE2,
+    clip_factor_of,
     generate_dataset,
 )
 from repro.data.io import (
@@ -43,6 +44,7 @@ __all__ = [
     "DatasetSpec",
     "SmartMeterDataset",
     "TABLE2",
+    "clip_factor_of",
     "generate_dataset",
     "ConsumptionMatrix",
     "build_matrices",

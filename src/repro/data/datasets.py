@@ -125,13 +125,11 @@ class SmartMeterDataset:
     def daily_clip_factor(self) -> float:
         """Clipping factor for day-granularity publication.
 
-        Table 2's clipping factors equal ``mean + std`` of the hourly
-        readings; the same rule applied at day granularity bounds the
-        per-day influence of one household for the paper's default
-        day-level release.
+        Aggregates the corpus; a caller that also needs
+        :meth:`daily_readings` should aggregate once and pass the result
+        to :func:`clip_factor_of`.
         """
-        daily = self.daily_readings()
-        return float(daily.mean() + daily.std())
+        return clip_factor_of(self.daily_readings())
 
     def weekday_totals(self) -> np.ndarray:
         """Total consumption per day-of-week, Monday first (Figure 9)."""
@@ -140,6 +138,17 @@ class SmartMeterDataset:
         for day, value in enumerate(daily):
             totals[(day + self.start_weekday) % 7] += value
         return totals
+
+
+def clip_factor_of(daily: np.ndarray) -> float:
+    """Clipping factor of day-level readings: their ``mean + std``.
+
+    Table 2's clipping factors equal ``mean + std`` of the hourly
+    readings; the same rule applied at day granularity bounds the
+    per-day influence of one household for the paper's default
+    day-level release.
+    """
+    return float(daily.mean() + daily.std())
 
 
 def _calibrated_config(spec: DatasetSpec) -> ProfileConfig:
@@ -186,19 +195,20 @@ def generate_dataset(
         raise ConfigurationError("n_days must be positive")
     generator = ensure_rng(rng)
     config = _calibrated_config(spec)
-    raw = generate_profiles(
+    readings = generate_profiles(
         spec.n_households,
         n_days * HOURS_PER_DAY,
         config=config,
         rng=generator,
         start_weekday=start_weekday,
     )
-    scaled = raw * spec.mean_kwh
-    clipped = np.minimum(scaled, spec.max_kwh)
+    # Scale and clip in place: the corpus stays the only full-size array.
+    readings *= spec.mean_kwh
+    np.minimum(readings, spec.max_kwh, out=readings)
     # Clipping lowers the mean slightly; one corrective rescale keeps
     # the mean exact without materially moving the tail.
-    clipped *= spec.mean_kwh / clipped.mean()
-    readings = np.minimum(clipped, spec.max_kwh)
+    readings *= spec.mean_kwh / readings.mean()
+    np.minimum(readings, spec.max_kwh, out=readings)
     return SmartMeterDataset(spec=spec, readings=readings,
                              start_weekday=start_weekday)
 
@@ -206,5 +216,6 @@ __all__ = [
     "DatasetSpec",
     "TABLE2",
     "SmartMeterDataset",
+    "clip_factor_of",
     "generate_dataset",
 ]

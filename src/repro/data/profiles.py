@@ -50,6 +50,10 @@ _DAILY_SHAPE = np.array(
 # home (matches the Figure 9 profile of the paper's datasets).
 _WEEKLY_SHAPE = np.array([0.97, 0.96, 0.96, 0.97, 1.00, 1.08, 1.06])
 
+# Readings per row block of generate_profiles' final pass: the block's
+# temporaries stay cache-sized and far below the corpus itself.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ProfileConfig:
@@ -96,6 +100,14 @@ def generate_profiles(
     Values are non-negative with population mean 1; callers rescale to a
     target mean (see :mod:`repro.data.datasets`). ``start_weekday`` is
     0 for Monday.
+
+    The returned array is the only corpus-sized buffer the generator
+    allocates: the AR noise is generated in it, then each block of rows
+    is multiplied by the other factors in place. The peak is about twice
+    the result (``np.var`` takes one full-size temporary). Every product
+    keeps its left-to-right operand order and the per-block shock draws
+    continue one generator stream, so the bits are those of building
+    every factor at full size (docs/performance.md, "Context build").
     """
     if n_households <= 0 or n_hours <= 0:
         raise ConfigurationError("n_households and n_hours must be positive")
@@ -121,19 +133,20 @@ def generate_profiles(
     )
     # Per-household jitter of the deterministic shape so households do
     # not peak in lockstep.
-    jitter = 1.0 + config.daily_jitter * generator.standard_normal(
+    jitter_scale = config.daily_jitter * generator.standard_normal(
         (n_households, 1)
-    ) * (daily - 1.0)
-    jitter = np.maximum(jitter, 0.05)
+    )
+    daily_deviation = daily - 1.0
 
-    # AR(1) noise in the log domain, vectorized over households.
-    innovations = generator.standard_normal((n_households, n_hours))
-    innovations *= config.ar_sigma
-    log_noise = np.empty_like(innovations)
-    log_noise[:, 0] = innovations[:, 0] / np.sqrt(1.0 - config.ar_coeff**2)
+    # AR(1) noise in the log domain, run in place in the corpus buffer.
+    corpus = np.empty((n_households, n_hours))
+    generator.standard_normal(out=corpus)
+    corpus *= config.ar_sigma
+    corpus[:, 0] /= np.sqrt(1.0 - config.ar_coeff**2)
     for t in range(1, n_hours):
-        log_noise[:, t] = config.ar_coeff * log_noise[:, t - 1] + innovations[:, t]
-    ar_noise = np.exp(log_noise - log_noise.var() / 2.0)
+        corpus[:, t] += config.ar_coeff * corpus[:, t - 1]
+    corpus -= corpus.var() / 2.0
+    np.exp(corpus, out=corpus)
 
     # Slow common-mode shock shared by every household — the weather /
     # economy component that moves the *aggregate* series and keeps a
@@ -149,17 +162,23 @@ def generate_profiles(
         )
     common = np.exp(common_log - common_log.var() / 2.0)
 
-    shocks = generator.lognormal(
-        mean=-0.5 * config.shock_sigma**2,
-        sigma=config.shock_sigma,
-        size=(n_households, n_hours),
-    )
-
-    profile = (
-        base[:, None] * daily[None, :] * weekly[None, :] * seasonal[None, :]
-        * common[None, :] * jitter * ar_noise * shocks
-    )
-    return profile / profile.mean()
+    shock_mean = -0.5 * config.shock_sigma**2
+    block_rows = max(1, _BLOCK_ELEMENTS // n_hours)
+    for start in range(0, n_households, block_rows):
+        block = slice(start, start + block_rows)
+        jitter = np.maximum(1.0 + jitter_scale[block] * daily_deviation, 0.05)
+        profile = (
+            base[block, None] * daily * weekly * seasonal * common * jitter
+        )
+        # The rows hold their AR noise; multiply in the whole-array
+        # order (the factors, then the noise, then the shock).
+        readings = corpus[block]
+        np.multiply(profile, readings, out=readings)
+        readings *= generator.lognormal(
+            mean=shock_mean, sigma=config.shock_sigma, size=readings.shape
+        )
+    corpus /= corpus.mean()
+    return corpus
 
 
 def aggregate_daily(readings: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ def ablation_local_dp(
     )
     rows.append({"deployment": "central/Identity", **identity_mre})
 
-    daily = context.dataset.daily_readings()[:, preset.t_train :]
+    daily = context.daily[:, preset.t_train :]
     local_values = LocalDPPublisher().publish(
         daily,
         context.cells,

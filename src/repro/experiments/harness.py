@@ -1,7 +1,7 @@
 """Shared experiment plumbing: contexts, runners and table formatting.
 
 An :class:`ExperimentContext` materializes one (dataset, distribution,
-preset) combination — synthetic corpus, consumption matrices, query
+preset) combination — day-level readings, consumption matrices, query
 workloads — and the runner functions evaluate STPT or a baseline
 mechanism against it, returning plain dictionaries the figure runners
 and benchmarks print.
@@ -9,7 +9,9 @@ and benchmarks print.
 Context building runs as a four-stage cacheable
 :class:`~repro.pipeline.Pipeline` (dataset → placement → matrices →
 workloads); none of the stages touches private data with noise, so all
-four replay from an :class:`~repro.pipeline.ArtifactStore`. Combined
+four replay from an :class:`~repro.pipeline.ArtifactStore`. The hourly
+corpus lives only while the pipeline runs: the context keeps the
+day-level readings the matrices stage aggregates from it. Combined
 with :func:`run_stpt_sweep` — which pins the pattern phase of every
 sweep point to one generator so the trained forecaster replays from
 cache — an ε-sweep pays for data generation and pattern training once.
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.baselines.base import Mechanism
 from repro.core.stpt import STPT, STPTConfig, STPTResult
-from repro.data.datasets import SmartMeterDataset, TABLE2, generate_dataset
+from repro.data.datasets import TABLE2, clip_factor_of, generate_dataset
 from repro.data.matrix import ConsumptionMatrix, build_matrices
 from repro.data.spatial import place_households
 from repro.exceptions import ConfigurationError
@@ -57,7 +59,7 @@ class ExperimentContext:
     dataset_name: str
     distribution: str
     preset: ScalePreset
-    dataset: SmartMeterDataset
+    daily: np.ndarray                # (households, days) kWh, full horizon
     cells: np.ndarray                # (households, 2) grid coordinates
     clip_factor: float
     cons: ConsumptionMatrix          # kWh, full horizon
@@ -141,11 +143,11 @@ def build_context_stages(
         )
 
     def matrices_stage(ctx, dataset, cells):
-        clip = dataset.daily_clip_factor()
-        cons, norm = build_matrices(
-            dataset.daily_readings(), cells, preset.grid_shape, clip
-        )
+        daily = dataset.daily_readings()
+        clip = clip_factor_of(daily)
+        cons, norm = build_matrices(daily, cells, preset.grid_shape, clip)
         return {
+            "daily": daily,
             "clip": clip,
             "cons": cons,
             "norm": norm,
@@ -236,7 +238,7 @@ def build_context(
         dataset_name=dataset_name,
         distribution=distribution,
         preset=preset,
-        dataset=run.artifact("dataset"),
+        daily=matrices["daily"],
         cells=run.artifact("cells"),
         clip_factor=matrices["clip"],
         cons=matrices["cons"],

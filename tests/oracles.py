@@ -21,7 +21,12 @@ kernels to them under a stated contract:
   ``predict_autoregressive`` roll-out, <= 1e-12 (one-row gemv and
   batched gemm may differ in the last ulp);
 * :func:`evaluate_queries_reference` — the prefix-sum query engine,
-  round-off of the table magnitudes.
+  round-off of the table magnitudes;
+* :func:`generate_profiles_reference` and
+  :func:`generate_dataset_reference` — the one-buffer corpus generator
+  ``repro.data.profiles.generate_profiles`` and the in-place calibration
+  of ``repro.data.datasets.generate_dataset``, bit-identical, final
+  generator state included.
 """
 
 from __future__ import annotations
@@ -30,8 +35,21 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.data.datasets import (
+    DatasetSpec,
+    SmartMeterDataset,
+    _calibrated_config,
+)
+from repro.data.profiles import (
+    DAYS_PER_WEEK,
+    HOURS_PER_DAY,
+    ProfileConfig,
+    daily_shape,
+    weekly_shape,
+)
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.recurrent import LSTM
+from repro.rng import ensure_rng
 
 
 def make_windows_reference(
@@ -197,3 +215,86 @@ def rollout_per_node_reference(model, seeds, steps, clip=None):
 def evaluate_queries_reference(queries, matrix) -> np.ndarray:
     """Answer every query by summing its slice of ``matrix``."""
     return np.array([q.evaluate(matrix) for q in queries])
+
+
+def generate_profiles_reference(
+    n_households, n_hours, config=None, rng=None, start_weekday=0
+) -> np.ndarray:
+    """Every factor of the profile product as a whole corpus-sized array."""
+    if n_households <= 0 or n_hours <= 0:
+        raise ConfigurationError("n_households and n_hours must be positive")
+    if not 0 <= start_weekday < DAYS_PER_WEEK:
+        raise ConfigurationError("start_weekday must be in [0, 7)")
+    config = config or ProfileConfig()
+    generator = ensure_rng(rng)
+
+    hours = np.arange(n_hours)
+    hour_of_day = hours % HOURS_PER_DAY
+    day_index = hours // HOURS_PER_DAY
+    day_of_week = (day_index + start_weekday) % DAYS_PER_WEEK
+
+    daily = daily_shape()[hour_of_day]
+    weekly = weekly_shape()[day_of_week]
+    seasonal = 1.0 + config.seasonal_amplitude * np.sin(
+        2.0 * np.pi * day_index / 365.0
+    )
+
+    base = generator.lognormal(
+        mean=-0.5 * config.base_sigma**2, sigma=config.base_sigma,
+        size=n_households,
+    )
+    jitter = 1.0 + config.daily_jitter * generator.standard_normal(
+        (n_households, 1)
+    ) * (daily - 1.0)
+    jitter = np.maximum(jitter, 0.05)
+
+    innovations = generator.standard_normal((n_households, n_hours))
+    innovations *= config.ar_sigma
+    log_noise = np.empty_like(innovations)
+    log_noise[:, 0] = innovations[:, 0] / np.sqrt(1.0 - config.ar_coeff**2)
+    for t in range(1, n_hours):
+        log_noise[:, t] = config.ar_coeff * log_noise[:, t - 1] + innovations[:, t]
+    ar_noise = np.exp(log_noise - log_noise.var() / 2.0)
+
+    common_innovations = (
+        generator.standard_normal(n_hours) * config.common_sigma
+    )
+    common_log = np.empty(n_hours)
+    common_log[0] = common_innovations[0] / np.sqrt(1.0 - config.common_ar**2)
+    for t in range(1, n_hours):
+        common_log[t] = (
+            config.common_ar * common_log[t - 1] + common_innovations[t]
+        )
+    common = np.exp(common_log - common_log.var() / 2.0)
+
+    shocks = generator.lognormal(
+        mean=-0.5 * config.shock_sigma**2,
+        sigma=config.shock_sigma,
+        size=(n_households, n_hours),
+    )
+
+    profile = (
+        base[:, None] * daily[None, :] * weekly[None, :] * seasonal[None, :]
+        * common[None, :] * jitter * ar_noise * shocks
+    )
+    return profile / profile.mean()
+
+
+def generate_dataset_reference(
+    spec: DatasetSpec, n_days, rng=None, start_weekday=0
+) -> SmartMeterDataset:
+    """Scale, clip, rescale and clip the reference corpus out of place."""
+    generator = ensure_rng(rng)
+    raw = generate_profiles_reference(
+        spec.n_households,
+        n_days * HOURS_PER_DAY,
+        config=_calibrated_config(spec),
+        rng=generator,
+        start_weekday=start_weekday,
+    )
+    scaled = raw * spec.mean_kwh
+    clipped = np.minimum(scaled, spec.max_kwh)
+    clipped *= spec.mean_kwh / clipped.mean()
+    readings = np.minimum(clipped, spec.max_kwh)
+    return SmartMeterDataset(spec=spec, readings=readings,
+                             start_weekday=start_weekday)
