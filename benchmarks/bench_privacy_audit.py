@@ -8,9 +8,9 @@ and the deliberately broken control must be flagged.
 import numpy as np
 
 from repro.audit import (
+    BrokenIdentityTarget,
+    MechanismAuditTarget,
     audit_epsilon,
-    broken_identity_target,
-    mechanism_target,
     neighbouring_readings,
 )
 from repro.baselines.fourier import FourierPerturbation
@@ -25,11 +25,12 @@ def run():
     rows = []
     for name, target, claim in [
         ("Identity (ε=1)",
-         mechanism_target(Identity(), 1.0, cells, (4, 4)), 1.0),
+         MechanismAuditTarget(Identity(), 1.0, cells, (4, 4)), 1.0),
         ("Fourier-2 (ε=1)",
-         mechanism_target(FourierPerturbation(k=2), 1.0, cells, (4, 4)), 1.0),
+         MechanismAuditTarget(FourierPerturbation(k=2), 1.0, cells, (4, 4)),
+         1.0),
         ("BROKEN no-noise control",
-         broken_identity_target(cells, (4, 4)), 1.0),
+         BrokenIdentityTarget(cells, (4, 4)), 1.0),
     ]:
         result = audit_epsilon(
             target, d, dp, trials=300, claimed_epsilon=claim, rng=11

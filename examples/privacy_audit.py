@@ -12,11 +12,11 @@ Run:  python examples/privacy_audit.py
 import numpy as np
 
 from repro.audit import (
+    BrokenIdentityTarget,
+    ComposedSTPTTarget,
+    MechanismAuditTarget,
     audit_epsilon,
-    broken_identity_target,
-    mechanism_target,
     neighbouring_readings,
-    stpt_target,
 )
 from repro.baselines.identity import Identity
 from repro.core.pattern import PatternConfig
@@ -39,11 +39,12 @@ def main() -> None:
 
     audits = [
         ("Identity, claimed ε=1",
-         mechanism_target(Identity(), 1.0, cells, (4, 4)), 1.0, 400),
+         MechanismAuditTarget(Identity(), 1.0, cells, (4, 4)), 1.0, 400),
         ("STPT pipeline, claimed ε=3",
-         stpt_target(stpt_config, cells, (4, 4)), 3.0, 60),
+         ComposedSTPTTarget(stpt_config, cells, (4, 4), statistic="pillar-sum"),
+         3.0, 60),
         ("BROKEN control (no noise), claimed ε=1",
-         broken_identity_target(cells, (4, 4)), 1.0, 60),
+         BrokenIdentityTarget(cells, (4, 4)), 1.0, 60),
     ]
 
     print(f"{'mechanism':42s} {'claim':>6s} {'audited lb':>11s}  verdict")

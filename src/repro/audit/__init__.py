@@ -24,11 +24,7 @@ from repro.audit.attacks import (
     pattern_worlds,
     threshold_attack,
 )
-from repro.audit.composed import (
-    BREAK_MODES,
-    ComposedSTPTTarget,
-    composed_stpt_target,
-)
+from repro.audit.composed import BREAK_MODES, ComposedSTPTTarget
 from repro.audit.estimator import (
     AuditResult,
     AuditTarget,
@@ -47,12 +43,8 @@ from repro.audit.suite import (
 from repro.audit.targets import (
     BrokenIdentityTarget,
     MechanismAuditTarget,
-    STPTAuditTarget,
     audit_cells,
-    broken_identity_target,
-    mechanism_target,
     neighbouring_readings,
-    stpt_target,
 )
 
 __all__ = [
@@ -67,24 +59,19 @@ __all__ = [
     "FrontierPoint",
     "FrontierResult",
     "MechanismAuditTarget",
-    "STPTAuditTarget",
     "audit_cells",
     "audit_epsilon",
     "audit_pair",
-    "broken_identity_target",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "collect_scores",
-    "composed_stpt_target",
     "dp_advantage_bound",
     "mann_whitney_auc",
-    "mechanism_target",
     "membership_inference_attack",
     "neighbouring_readings",
     "pattern_inference_attack",
     "pattern_worlds",
     "run_composed_audit",
     "run_frontier",
-    "stpt_target",
     "threshold_attack",
 ]

@@ -167,23 +167,8 @@ class ComposedSTPTTarget:
         )
 
 
-def composed_stpt_target(
-    config: STPTConfig,
-    cells: np.ndarray,
-    grid_shape: tuple[int, int],
-    clip_factor: float = 1.0,
-    break_mode: str | None = None,
-    contrast: np.ndarray | None = None,
-    statistic: str = "grid-sum",
-) -> ComposedSTPTTarget:
-    """Construct a composed-pipeline audit target (picklable)."""
-    return ComposedSTPTTarget(
-        config, cells, grid_shape, clip_factor, break_mode, contrast, statistic
-    )
-
 __all__ = [
     "BREAK_MODES",
     "STATISTICS",
     "ComposedSTPTTarget",
-    "composed_stpt_target",
 ]

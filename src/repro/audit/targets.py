@@ -7,8 +7,9 @@ where the removed household's influence concentrates, which is where a
 privacy bug would surface first.
 
 Targets are frozen dataclasses rather than closures so they pickle
-cleanly into :class:`~repro.parallel.ParallelExecutor` payloads — the
-factory functions below are kept as the stable construction API.
+cleanly into :class:`~repro.parallel.ParallelExecutor` payloads. The
+full STPT publish is audited through
+:class:`~repro.audit.composed.ComposedSTPTTarget`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import Mechanism
-from repro.core.stpt import STPT, STPTConfig
 from repro.data.matrix import build_matrices
 from repro.exceptions import ConfigurationError
 from repro.rng import RngLike, derive_seed, ensure_rng
@@ -101,28 +101,6 @@ class MechanismAuditTarget:
 
 
 @dataclass(frozen=True, eq=False)
-class STPTAuditTarget:
-    """Audit target for the full STPT pipeline (one-shot publish).
-
-    The statistic sums the released values of the distinguished
-    household's pillar over the published (test) horizon.
-    """
-
-    config: STPTConfig
-    cells: np.ndarray
-    grid_shape: tuple[int, int]
-    clip_factor: float = 1.0
-
-    def __call__(self, readings: np.ndarray, rng: np.random.Generator) -> float:
-        row, col = int(self.cells[0, 0]), int(self.cells[0, 1])
-        __, norm = build_matrices(
-            readings, self.cells, self.grid_shape, self.clip_factor
-        )
-        result = STPT(self.config, rng=derive_seed(rng)).publish(norm)
-        return float(result.sanitized.values[row, col, :].sum())
-
-
-@dataclass(frozen=True, eq=False)
 class BrokenIdentityTarget:
     """A deliberately broken 'mechanism' that adds no noise.
 
@@ -139,40 +117,9 @@ class BrokenIdentityTarget:
         return float(norm.values[row, col, :].sum())
 
 
-def mechanism_target(
-    mechanism: Mechanism,
-    epsilon: float,
-    cells: np.ndarray,
-    grid_shape: tuple[int, int],
-    clip_factor: float = 1.0,
-) -> MechanismAuditTarget:
-    """Audit target for a baseline mechanism (picklable)."""
-    return MechanismAuditTarget(mechanism, epsilon, cells, grid_shape, clip_factor)
-
-
-def stpt_target(
-    config: STPTConfig,
-    cells: np.ndarray,
-    grid_shape: tuple[int, int],
-    clip_factor: float = 1.0,
-) -> STPTAuditTarget:
-    """Audit target for the full STPT pipeline (picklable)."""
-    return STPTAuditTarget(config, cells, grid_shape, clip_factor)
-
-
-def broken_identity_target(
-    cells: np.ndarray, grid_shape: tuple[int, int]
-) -> BrokenIdentityTarget:
-    """The no-noise control target (picklable)."""
-    return BrokenIdentityTarget(cells, grid_shape)
-
 __all__ = [
     "audit_cells",
     "neighbouring_readings",
     "MechanismAuditTarget",
-    "STPTAuditTarget",
     "BrokenIdentityTarget",
-    "mechanism_target",
-    "stpt_target",
-    "broken_identity_target",
 ]

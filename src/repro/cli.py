@@ -14,8 +14,7 @@ Examples::
     python -m repro scenarios show fig6-cer
     python -m repro publish --data cer.npz --scenario fig6-cer --out out.npz
     python -m repro bench --list
-    python -m repro bench parallel_sweep --workers 4
-    python -m repro bench trace_overhead --trend
+    python -m repro bench trace_overhead
     python -m repro pipeline run --data ca.npz --grid 16 --t-train 40 \
         --cache-dir .repro-cache
     python -m repro pipeline inspect --cache-dir .repro-cache
@@ -64,7 +63,12 @@ from repro.experiments.bench import (
     run_benchmark,
 )
 from repro.experiments.harness import format_table, publish_stpt_sweep
-from repro.experiments.trend import append_result, check_regression, trend_rows
+from repro.experiments.trend import (
+    append_result,
+    check_regression,
+    load_history,
+    trend_rows,
+)
 from repro.obs import (
     Metrics,
     Tracer,
@@ -260,7 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sshow.add_argument("name", help="registered name or a .toml/.json file")
 
     ben = sub.add_parser(
-        "bench", help="run a named benchmark, write BENCH_<name>.json"
+        "bench",
+        help="run a named benchmark, append it to BENCH_<name>.json's "
+        "history and check its registered bounds",
     )
     ben.add_argument("name", nargs="?", choices=sorted(BENCHMARKS))
     ben.add_argument(
@@ -273,12 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ben.add_argument(
         "--out", help="output JSON path (default: BENCH_<name>.json)"
-    )
-    ben.add_argument(
-        "--trend", action="store_true",
-        help="append this run to the BENCH file's commit-stamped "
-        "history, print the trend table, and exit non-zero if the "
-        "newest run regresses past the registered threshold",
     )
     _add_trace_arguments(ben)
 
@@ -887,30 +887,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             threshold = THRESHOLDS.get(name) or "no asserted threshold"
             print(f"{name:<{width}}  {threshold}")
         return 0
-    payload = run_benchmark(args.name, workers=args.workers)
     out = Path(args.out or f"BENCH_{args.name}.json")
-    if args.trend:
-        threshold = TREND_THRESHOLDS.get(args.name)
-        history = append_result(out, payload, threshold)
-    else:
-        history = None
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-    line = f"wrote {out}: {payload['wall_seconds']:.1f}s wall"
-    if "speedup" in payload:
-        line += f", speedup {payload['speedup']:.2f}x"
-        if not payload.get("speedup_asserted", True):
-            line += (
-                f" (not asserted: {payload['cpu_count']} core(s) available)"
-            )
-    print(line)
-    if history is not None:
-        print(format_table(trend_rows(history)))
-        failures = check_regression(args.name, history, threshold)
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
+    load_history(out)  # refuse a malformed file before the run, not after
+    payload = run_benchmark(args.name, workers=args.workers)
+    threshold = TREND_THRESHOLDS.get(args.name)
+    history = append_result(out, payload, threshold)
+    print(f"wrote {out}: {payload['wall_seconds']:.1f}s wall")
+    print(format_table(trend_rows(history)))
+    failures = check_regression(args.name, history, threshold)
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:

@@ -62,7 +62,13 @@ from repro.exceptions import ConfigurationError, DataError
 from repro.obs import get_tracer
 from repro.parallel.executor import execute
 from repro.parallel.seeds import spawn_seed_sequences, task_generator
-from repro.pipeline import ArtifactStore, Pipeline, PublicationResult, Stage
+from repro.pipeline import (
+    ArtifactStore,
+    Pipeline,
+    PublicationResult,
+    Stage,
+    stamp_task,
+)
 from repro.rng import RngLike, ensure_rng
 
 #: Flow-analysis role (repro.lint.flow): ``publish`` runs the full
@@ -598,16 +604,8 @@ class STPT:
         )
         records = []
         for task, group_outputs in zip(executed.tasks, executed.values):
-            group_records = [
-                replace(record, worker=task.worker)
-                for out in group_outputs
-                for record in out["records"]
-            ]
-            if group_records:
-                group_records[0] = replace(
-                    group_records[0], queued_seconds=task.queued_seconds
-                )
-            records.extend(group_records)
+            group_records = [r for out in group_outputs for r in out["records"]]
+            records.extend(stamp_task(group_records, task))
         elapsed = time.perf_counter() - started
         return ShardedSTPTResult(
             sanitized=ConsumptionMatrix(sanitized_values),

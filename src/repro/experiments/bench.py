@@ -1,15 +1,12 @@
 """Named benchmarks behind ``repro bench``.
 
-Each benchmark drives one subsystem — the parallel sweep, the tracer,
-the flow linter or the audit suite — verifies its
-outputs (bit-identity across worker counts, zero lint findings, every
-audit gate) before any timing counts, and returns a JSON-serializable
-payload. The CLI stamps the payload with the current commit and writes
-it to ``BENCH_<name>.json``. The end-to-end wall time of a publish and of
-serving is measured by ``perfbench/``, not here.
-
-Speedup assertions are honest about the hardware: the parallel-sweep
-target is only asserted when the machine actually has four cores.
+Each benchmark drives one subsystem — the tracer, the flow linter or
+the audit suite — verifies its outputs (bit-identity, zero lint
+findings, every audit gate) before any timing counts, and returns a
+JSON-serializable payload. The CLI stamps the payload with the current
+commit and appends it to the history in ``BENCH_<name>.json``. The
+end-to-end wall time of a publish and of serving is measured by
+``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 from repro.core.stpt import STPT
 from repro.data.matrix import ConsumptionMatrix
 from repro.exceptions import ConfigurationError
-from repro.experiments.harness import build_scenario_context, run_stpt_many
 from repro.experiments.trend import Threshold
 from repro.obs import Metrics, NullTracer, Tracer, use_metrics, use_tracer
 from repro.scenarios import resolve_scenario
@@ -33,12 +29,9 @@ from repro.scenarios import resolve_scenario
 BENCHMARKS: dict[str, Callable[..., dict]] = {}
 #: name -> human-readable asserted threshold, shown by ``repro bench --list``.
 THRESHOLDS: dict[str, str] = {}
-#: name -> numeric trend bounds enforced by ``repro bench --trend``.
+#: name -> numeric trend bounds every ``repro bench NAME`` run checks.
 TREND_THRESHOLDS: dict[str, Threshold] = {}
 
-#: Sweep speedup floor asserted on machines with at least this many cores.
-_SWEEP_SPEEDUP_FLOOR = 2.0
-_SWEEP_CORE_FLOOR = 4
 #: Ceiling on the instrumentation share of sweep wall time (NullTracer).
 _TRACE_OVERHEAD_CEILING = 0.02
 #: Whole-tree interprocedural lint pass must stay CI-friendly.
@@ -51,11 +44,10 @@ def register(
     metrics: tuple[str, ...] = (),
     floor: float | None = None,
     ceiling: float | None = None,
-    gate: str | None = None,
 ) -> Callable[[Callable[..., dict]], Callable[..., dict]]:
-    """Register a benchmark; ``metrics``/``floor``/``ceiling``/``gate``
-    additionally declare the numeric trend bounds ``repro bench
-    --trend`` enforces on every recorded run (``threshold`` stays the
+    """Register a benchmark; ``metrics``/``floor``/``ceiling``
+    additionally declare the numeric trend bounds ``repro bench``
+    enforces on every recorded run (``threshold`` stays the
     human-readable description ``--list`` prints)."""
 
     def decorator(fn: Callable[..., dict]) -> Callable[..., dict]:
@@ -63,7 +55,7 @@ def register(
         THRESHOLDS[name] = threshold
         if metrics:
             TREND_THRESHOLDS[name] = Threshold(
-                metrics=tuple(metrics), floor=floor, ceiling=ceiling, gate=gate
+                metrics=tuple(metrics), floor=floor, ceiling=ceiling
             )
         return fn
 
@@ -78,68 +70,6 @@ def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-@register(
-    "parallel_sweep",
-    threshold=f">= {_SWEEP_SPEEDUP_FLOOR}x serial vs 4 workers "
-    f"(asserted on >= {_SWEEP_CORE_FLOOR} cores); bit-identical always",
-    metrics=("speedup",),
-    floor=_SWEEP_SPEEDUP_FLOOR,
-    gate="speedup_asserted",
-)
-def bench_parallel_sweep(workers: int = 4) -> dict:
-    """Four-point epsilon sweep: serial vs ``workers`` processes.
-
-    The geometry and ε schedule come from the registered
-    ``bench-default`` scenario (the ``bench`` scale preset: small
-    enough to finish in seconds, big enough that per-point work dwarfs
-    the ~0.1s process-pool startup the speedup is paid from). Uses
-    :func:`run_stpt_many`, where each point is a complete independent
-    STPT release (own pattern training), so the serial baseline cannot
-    amortize work across points through the artifact cache — the
-    speedup measures genuine parallelism, not cache luck. Bit-identity
-    between the two runs is asserted unconditionally; the >= 2x speedup
-    target only on a machine with >= 4 cores.
-    """
-    resolved = resolve_scenario("bench-default")
-    epsilons = resolved.epsilon_schedule
-    context = build_scenario_context(resolved, rng=resolved.spec.seeds.seed)
-    configs = resolved.configs
-
-    serial_started = time.perf_counter()
-    serial = run_stpt_many(context, configs, rng=11)
-    serial_seconds = time.perf_counter() - serial_started
-
-    parallel_started = time.perf_counter()
-    parallel = run_stpt_many(context, configs, rng=11, workers=workers)
-    parallel_seconds = time.perf_counter() - parallel_started
-
-    for (ser, ser_mre), (par, par_mre) in zip(serial, parallel):
-        if not np.array_equal(ser.sanitized.values, par.sanitized.values):
-            raise AssertionError("parallel sweep diverged from serial")
-        if ser_mre != par_mre:
-            raise AssertionError("parallel sweep MREs diverged from serial")
-
-    speedup = serial_seconds / parallel_seconds
-    cpu_count = os.cpu_count() or 1
-    asserted = cpu_count >= _SWEEP_CORE_FLOOR and workers >= _SWEEP_CORE_FLOOR
-    if asserted and speedup < _SWEEP_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"parallel sweep speedup {speedup:.2f}x is below the "
-            f"{_SWEEP_SPEEDUP_FLOOR}x floor on a {cpu_count}-core machine"
-        )
-    return {
-        "benchmark": "parallel_sweep",
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "epsilons": list(epsilons),
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": round(parallel_seconds, 3),
-        "speedup": round(speedup, 3),
-        "bit_identical": True,
-        "speedup_asserted": asserted,
-    }
 
 
 def _trace_bench_matrix() -> ConsumptionMatrix:
@@ -474,7 +404,6 @@ __all__: Sequence[str] = [
     "TREND_THRESHOLDS",
     "bench_audit_suite",
     "bench_lint_flow",
-    "bench_parallel_sweep",
     "bench_trace_overhead",
     "register",
     "run_benchmark",

@@ -31,8 +31,8 @@ from repro.data.datasets import TABLE2, clip_factor_of, generate_dataset
 from repro.data.matrix import ConsumptionMatrix, build_matrices
 from repro.data.spatial import place_households
 from repro.exceptions import ConfigurationError
-from repro.parallel import ExecutionResult, execute
-from repro.pipeline import ArtifactStore, Pipeline, RunRecord, Stage
+from repro.parallel import execute
+from repro.pipeline import ArtifactStore, Pipeline, RunRecord, Stage, stamp_task
 from repro.queries.engine import QueryEngine, query_bounds
 from repro.queries.metrics import workload_mre
 from repro.queries.range_query import RangeQuery, make_workload
@@ -290,15 +290,15 @@ def run_stpt(
     return result, context.mre_of(result.sanitized_kwh)
 
 
-def _publish_sweep_point(
-    config: STPTConfig,
-    point_seed: int,
-    pattern_seed: int,
-    norm: ConsumptionMatrix,
-    clip_scale: float,
-    store: ArtifactStore,
-) -> STPTResult:
-    """One sweep point: pattern stages pinned to the shared seed."""
+def _sweep_point_task(payload: tuple) -> STPTResult:
+    """One sweep point, its pattern stages pinned to the shared seed.
+
+    The payload carries plain seeds (never live generators — RNG100)
+    plus the caller's store: in-process it keeps its memory tier, while
+    a fork worker's pickled copy shares only the lock-protected disk
+    tier.
+    """
+    config, point_seed, pattern_seed, norm, clip_scale, store = payload
     pattern_rng = ensure_rng(pattern_seed)
     return STPT(config, rng=point_seed, store=store).publish(
         norm,
@@ -308,29 +308,6 @@ def _publish_sweep_point(
             "stpt/pattern-train": pattern_rng,
         },
     )
-
-
-def _sweep_point_task(payload: tuple) -> STPTResult:
-    """Self-contained sweep-point body for process-pool workers.
-
-    The payload carries plain seeds (never live generators — RNG100)
-    plus the disk ``cache_dir``; the worker rebuilds its own store so
-    only the lock-protected disk tier is shared between processes.
-    """
-    config, point_seed, pattern_seed, norm, clip_scale, cache_dir = payload
-    store = ArtifactStore(cache_dir=cache_dir)
-    return _publish_sweep_point(
-        config, point_seed, pattern_seed, norm, clip_scale, store
-    )
-
-
-def _annotate_records(result: STPTResult, executed: ExecutionResult, index: int) -> None:
-    """Stamp executor bookkeeping onto a parallel run's stage records."""
-    task = executed.tasks[index]
-    records = [replace(record, worker=task.worker) for record in result.records]
-    if records:
-        records[0] = replace(records[0], queued_seconds=task.queued_seconds)
-    result.records = records
 
 
 #: Flow-analysis role (repro.lint.flow): every result in the sweep is a
@@ -358,18 +335,9 @@ def publish_stpt_sweep(
     if store is None:
         store = ArtifactStore()
     pattern_seed = derive_seed(generator)
-    point_seeds = [derive_seed(generator) for __ in configs]
-    if workers is None or workers in (0, 1):
-        return [
-            _publish_sweep_point(
-                config, point_seed, pattern_seed, norm, clip_scale, store
-            )
-            for config, point_seed in zip(configs, point_seeds)
-        ]
-    cache_dir = str(store.cache_dir) if store.cache_dir is not None else None
     payloads = [
-        (config, seed, pattern_seed, norm, clip_scale, cache_dir)
-        for config, seed in zip(configs, point_seeds)
+        (config, derive_seed(generator), pattern_seed, norm, clip_scale, store)
+        for config in configs
     ]
     executed = execute(
         _sweep_point_task,
@@ -377,8 +345,8 @@ def publish_stpt_sweep(
         workers=workers,
         labels=[f"stpt-sweep[{i}]" for i in range(len(payloads))],
     )
-    for index, result in enumerate(executed.values):
-        _annotate_records(result, executed, index)
+    for result, task in zip(executed.values, executed.tasks):
+        result.records = stamp_task(result.records, task)
     return list(executed.values)
 
 
@@ -405,8 +373,9 @@ def run_stpt_sweep(
     ε_pattern + Σ ε_sanitize, even though each returned result's own
     accountant reports its configured total.
 
-    With ``workers >= 2`` the points run on a process pool and the
-    results are **bit-identical** to the serial sweep: all seeds are
+    Each point is one :func:`~repro.parallel.execute` task. With
+    ``workers >= 2`` the points run on a process pool and the results
+    are **bit-identical** to the serial executor's: all seeds are
     derived before dispatch, every point is an independent release with
     its own accountant, and a cache replay is — by the pipeline cache's
     contract — bit-exact for a recomputation. Workers share artifacts
@@ -428,7 +397,7 @@ def run_stpt_sweep(
 
 
 def _stpt_task(payload: tuple) -> STPTResult:
-    """Self-contained independent-STPT-run body for pool workers."""
+    """Self-contained body of one independent STPT run (an executor task)."""
     config, seed, norm, clip_scale = payload
     return STPT(config, rng=seed).publish(norm, clip_scale=clip_scale)
 
@@ -446,15 +415,9 @@ def run_stpt_many(
     :func:`run_stpt` calls bit-for-bit at any ``workers`` value.
     """
     generator = ensure_rng(rng)
-    seeds = [derive_seed(generator) for __ in configs]
-    if workers is None or workers in (0, 1):
-        return [
-            run_stpt(context, config, rng=seed)
-            for config, seed in zip(configs, seeds)
-        ]
     payloads = [
-        (config, seed, context.norm, context.clip_factor)
-        for config, seed in zip(configs, seeds)
+        (config, derive_seed(generator), context.norm, context.clip_factor)
+        for config in configs
     ]
     executed = execute(
         _stpt_task,
@@ -463,8 +426,8 @@ def run_stpt_many(
         labels=[f"stpt[{i}]" for i in range(len(payloads))],
     )
     out = []
-    for index, result in enumerate(executed.values):
-        _annotate_records(result, executed, index)
+    for result, task in zip(executed.values, executed.tasks):
+        result.records = stamp_task(result.records, task)
         out.append((result, context.mre_of(result.sanitized_kwh)))
     return out
 
@@ -484,7 +447,7 @@ def run_mechanism(
 
 
 def _mechanism_task(payload: tuple):
-    """Self-contained baseline-mechanism body for pool workers."""
+    """Self-contained body of one baseline run (an executor task)."""
     mechanism, test_norm, epsilon, seed = payload
     started = time.perf_counter()
     run = mechanism.run(test_norm, epsilon, rng=seed)
@@ -500,23 +463,18 @@ def run_mechanisms(
 ) -> list[tuple[dict[str, float], float]]:
     """Run a list of baselines; one (MRE, wall seconds) pair each.
 
-    The parallel path is bit-identical to looping
+    At any ``workers`` value this is bit-identical to looping
     :func:`run_mechanism`: per-mechanism seeds are derived before
     dispatch in list order, and each mechanism is an independent
-    release. Reported wall seconds are the worker-side execution time
-    (queue wait excluded), so timings stay comparable to serial runs.
+    release. Reported wall seconds are each task's own execution time
+    (queue wait excluded), so timings stay comparable across worker
+    counts.
     """
     epsilon = epsilon if epsilon is not None else context.preset.epsilon_total
     generator = ensure_rng(rng)
-    seeds = [derive_seed(generator) for __ in mechanisms]
-    if workers is None or workers in (0, 1):
-        return [
-            run_mechanism(context, mechanism, epsilon, rng=seed)
-            for mechanism, seed in zip(mechanisms, seeds)
-        ]
     payloads = [
-        (mechanism, context.test_norm, epsilon, seed)
-        for mechanism, seed in zip(mechanisms, seeds)
+        (mechanism, context.test_norm, epsilon, derive_seed(generator))
+        for mechanism in mechanisms
     ]
     executed = execute(
         _mechanism_task,

@@ -1,27 +1,15 @@
-"""Commit-stamped benchmark trend histories (``repro bench --trend``).
+"""Commit-stamped benchmark trend histories (``repro bench NAME``).
 
-``BENCH_<name>.json`` files started life as single snapshots: the
-newest payload, flat. ``--trend`` turns each file into a trajectory
-while staying a superset of that format — the newest payload keeps its
-flat top-level keys (so anything reading ``wall_seconds`` or
-``speedup`` directly still works) and a ``history`` key accumulates
-one compact entry per recorded run: commit, wall seconds, and the
-benchmark's registered trend metrics. Legacy snapshot files are
-migrated in place on the first ``--trend`` run (the old snapshot
-becomes the first history entry).
+A ``BENCH_<name>.json`` file holds the newest payload flat at the top
+level (so anything reading ``wall_seconds`` directly still works) and a
+``history`` list with one compact entry per recorded run: commit, wall
+seconds, ``cpu_count`` and the benchmark's registered trend metrics.
+Every ``repro bench NAME`` run appends one entry and checks it; a file
+without a ``history`` list is refused, so a run can never drop the
+trajectory it was meant to extend.
 
 A :class:`Threshold` names the payload metrics (dotted paths) a
-benchmark is judged by and the floor/ceiling each must respect;
-``gate`` names a payload key (e.g. ``speedup_asserted``) that, when
-falsy, turns enforcement off — the same hardware-honesty escape hatch
-the benchmark's own assertion uses.
-
-Hardware provenance travels with every entry: ``cpu_count`` is copied
-from the payload into the history row, and gated benchmarks refuse to
-*enforce* on — or treat as a baseline — runs that were recorded
-unasserted or on a single-core box. A 1.07x "speedup" measured on one
-core is a fact worth keeping in the trajectory, but it is not a
-regression floor for anybody.
+benchmark is judged by and the floor/ceiling each must respect.
 """
 
 from __future__ import annotations
@@ -41,7 +29,6 @@ class Threshold:
     metrics: tuple[str, ...]
     floor: float | None = None
     ceiling: float | None = None
-    gate: str | None = None
 
     def __post_init__(self) -> None:
         if not self.metrics:
@@ -80,20 +67,11 @@ def compact_entry(
     }
     if "cpu_count" in payload:
         entry["cpu_count"] = payload["cpu_count"]
-    if threshold is not None and threshold.gate is not None:
-        entry["asserted"] = bool(payload.get(threshold.gate))
     return entry
 
 
-def load_history(
-    path: str | Path, threshold: Threshold | None = None
-) -> list[dict[str, Any]]:
-    """History entries of a BENCH file; migrates legacy snapshots.
-
-    A legacy single-snapshot file (no ``history`` key) yields one entry
-    compacted from the flat payload, so its measurement survives as the
-    first point of the trajectory.
-    """
+def load_history(path: str | Path) -> list[dict[str, Any]]:
+    """History entries of a BENCH file; empty if the file does not exist."""
     path = Path(path)
     if not path.exists():
         return []
@@ -106,11 +84,9 @@ def load_history(
             f"benchmark file {path} must hold a JSON object"
         )
     history = payload.get("history")
-    if history is None:
-        return [compact_entry(payload, threshold)]
     if not isinstance(history, list):
         raise ConfigurationError(
-            f"benchmark file {path} has a non-list 'history'"
+            f"benchmark file {path} has no 'history' list"
         )
     return list(history)
 
@@ -125,7 +101,7 @@ def append_result(
     Returns the updated history (oldest first, newest last).
     """
     path = Path(path)
-    history = load_history(path, threshold)
+    history = load_history(path)
     history.append(compact_entry(payload, threshold))
     merged = dict(payload)
     merged["history"] = history
@@ -152,49 +128,14 @@ def trend_rows(history: list[dict[str, Any]]) -> list[dict[str, Any]]:
             row[name] = metrics.get(name, "")
         if "cpu_count" in entry:
             row["cpus"] = entry["cpu_count"]
-        if "asserted" in entry:
-            row["asserted"] = entry["asserted"]
         rows.append(row)
     return rows
 
 
-#: A gated metric may drift this far below (floor) / above (ceiling)
-#: its history baseline before the ratchet reports a regression; wall
-#: clocks and speedups are noisy enough that an exact ratchet would
-#: flap.
+#: A trend metric may drift this far below (floor) / above (ceiling)
+#: the previous entry before the ratchet reports a regression; wall
+#: clocks are noisy enough that an exact ratchet would flap.
 _RATCHET_SLACK = 0.8
-
-
-def enforceable_entry(entry: Mapping[str, Any], threshold: Threshold) -> bool:
-    """Whether a history entry's metrics mean anything on a gated bench.
-
-    An unasserted run, or one recorded on a single-core box, is kept in
-    the trajectory for provenance but is neither enforced against nor
-    accepted as a regression baseline — its "speedup" measures the
-    scheduler, not the code. An entry with no recorded verdict at all
-    (written before the gate existed, or by hand) is treated the same
-    way: on a gated benchmark, only an explicit ``asserted: true`` may
-    set the floor a later run is ratcheted against. Ungated thresholds
-    enforce everywhere.
-    """
-    if threshold.gate is None:
-        return True
-    if not entry.get("asserted", False):
-        return False
-    cpu_count = entry.get("cpu_count")
-    if isinstance(cpu_count, (int, float)) and cpu_count < 2:
-        return False
-    return True
-
-
-def _baseline_entry(
-    history: list[dict[str, Any]], threshold: Threshold
-) -> dict[str, Any] | None:
-    """Most recent prior entry eligible to serve as the ratchet base."""
-    for entry in reversed(history):
-        if enforceable_entry(entry, threshold):
-            return entry
-    return None
 
 
 def check_regression(
@@ -209,24 +150,14 @@ def check_regression(
     * the registered absolute floor/ceiling, and
     * a history ratchet — the newest value may not fall more than
       ``1 - _RATCHET_SLACK`` below (floor metrics) or rise above
-      (ceiling metrics) the most recent *eligible* prior entry.
-
-    With a gate registered, runs that are unasserted or recorded on a
-    single-core host (see :func:`enforceable_entry`) are exempt from
-    both layers and refused as ratchet baselines — the entry still
-    lands in the history, it just cannot fail the build or lower the
-    bar for future runs.
+      (ceiling metrics) the previous entry.
     """
     if threshold is None or not history:
         return []
-    newest = history[-1]
-    if not enforceable_entry(newest, threshold):
-        return []
     failures = []
-    metrics = newest.get("metrics") or {}
-    baseline = _baseline_entry(history[:-1], threshold)
+    metrics = history[-1].get("metrics") or {}
     baseline_metrics = (
-        (baseline.get("metrics") or {}) if baseline is not None else {}
+        (history[-2].get("metrics") or {}) if len(history) > 1 else {}
     )
     for dotted in threshold.metrics:
         value = metrics.get(dotted)
@@ -269,7 +200,6 @@ __all__ = [
     "append_result",
     "check_regression",
     "compact_entry",
-    "enforceable_entry",
     "load_history",
     "metric_value",
     "trend_rows",

@@ -19,7 +19,7 @@ scheme, and ``docs/privacy.md`` for why noisy stages are uncacheable.
 """
 
 from repro.pipeline.fingerprint import combine, fingerprint, rng_fingerprint
-from repro.pipeline.result import PublicationResult, RunRecord
+from repro.pipeline.result import PublicationResult, RunRecord, stamp_task
 from repro.pipeline.runner import Pipeline, PipelineRun
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.store import Artifact, ArtifactStore, StoreStats
@@ -37,4 +37,5 @@ __all__ = [
     "combine",
     "fingerprint",
     "rng_fingerprint",
+    "stamp_task",
 ]

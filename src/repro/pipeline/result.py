@@ -11,11 +11,12 @@ field names).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.data.matrix import ConsumptionMatrix
+    from repro.parallel import TaskRecord
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class RunRecord:
     cached: bool                     #: artifact served from the store
     artifact_key: str | None = None  #: cache key (None when uncacheable)
     rng_state: str | None = None     #: entry rng fingerprint (stochastic stages)
-    worker: str | None = None        #: executor worker id (parallel runs only)
+    worker: str | None = None        #: executor worker id (None outside ``execute``)
     queued_seconds: float = 0.0      #: dispatch -> execution start wait
 
     def as_row(self) -> dict[str, object]:
@@ -42,6 +43,21 @@ class RunRecord:
             "cached": "hit" if self.cached else ("-" if self.artifact_key is None else "miss"),
             "key": (self.artifact_key or "")[:12],
         }
+
+
+def stamp_task(
+    records: Iterable[RunRecord], task: "TaskRecord"
+) -> list[RunRecord]:
+    """The stage records one executor task produced, with its bookkeeping.
+
+    Every record gets the task's worker id; only the first gets the
+    task's queue wait, so summing ``queued_seconds`` over the records
+    counts each task's wait once.
+    """
+    stamped = [replace(record, worker=task.worker) for record in records]
+    if stamped:
+        stamped[0] = replace(stamped[0], queued_seconds=task.queued_seconds)
+    return stamped
 
 
 @dataclass
@@ -70,4 +86,4 @@ class PublicationResult:
         return {record.stage: record.seconds for record in self.records}
 
 
-__all__ = ["PublicationResult", "RunRecord"]
+__all__ = ["PublicationResult", "RunRecord", "stamp_task"]

@@ -26,13 +26,12 @@ one member stack. :meth:`Pipeline.run` is the one-run case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from repro.dp.budget import BudgetAccountant
 from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer, resource_snapshot
-from repro.parallel import execute, spawn_seed_sequences, task_generator
 from repro.pipeline.fingerprint import combine, fingerprint, rng_fingerprint
 from repro.pipeline.result import RunRecord
 from repro.pipeline.stage import Stage, StageContext
@@ -285,65 +284,6 @@ class Pipeline:
         for lane in batch:
             lane.close()
 
-    def run_many(
-        self,
-        runs: Sequence[Mapping[str, Any] | None],
-        rng: RngLike = None,
-        workers: int | None = None,
-        accountant_factory: Callable[[], BudgetAccountant] | None = None,
-        seed: int | None = None,
-        labels: Sequence[str] | None = None,
-    ) -> list["PipelineRun"]:
-        """Execute the pipeline once per entry of ``runs``, optionally in parallel.
-
-        Each entry of ``runs`` is one run's ``initial`` artifact mapping.
-        Per-run generators are spawned via
-        :func:`repro.parallel.spawn_seed_sequences` *before* dispatch, so
-        the results are bit-identical for any ``workers`` value —
-        ``workers=None`` (serial) is the executable specification of what
-        the process pool must reproduce.
-
-        DP-soundness: the runs must be **independent releases**. Each run
-        gets its own accountant from ``accountant_factory`` (called inside
-        the worker); a single live accountant is deliberately *not*
-        accepted here because splitting one budget across workers would
-        let concurrent debits race past the cap. See ``docs/parallel.md``.
-
-        Parallel caveats: with ``workers >= 2`` the pipeline's stage
-        functions, configs and ``runs`` entries must be picklable
-        module-level objects (closures raise
-        :class:`~repro.exceptions.ConfigurationError`), and only a
-        disk-backed :class:`ArtifactStore` is shared between workers —
-        lock-file protected — while memory-tier entries stay per-process.
-
-        Stage records come back annotated with the worker that ran them;
-        the first record of each run additionally carries the task's
-        queue wait in ``queued_seconds``.
-        """
-        children = spawn_seed_sequences(rng, len(runs))
-        payloads = [
-            (self, dict(initial or {}), child, accountant_factory, seed)
-            for initial, child in zip(runs, children)
-        ]
-        result = execute(
-            _run_pipeline_task, payloads, workers=workers, labels=labels
-        )
-        annotated: list[PipelineRun] = []
-        for run, task in zip(result.values, result.tasks):
-            records = [replace(record, worker=task.worker) for record in run.records]
-            if records:
-                records[0] = replace(
-                    records[0], queued_seconds=task.queued_seconds
-                )
-            annotated.append(
-                PipelineRun(
-                    artifacts=run.artifacts,
-                    records=records,
-                    accountant=run.accountant,
-                )
-            )
-        return annotated
-
     def _key(
         self,
         stage: Stage,
@@ -397,26 +337,6 @@ class _Lane:
     def close(self) -> None:
         spent = self.accountant.spent_epsilon if self.accountant else 0.0
         self.epsilon_delta = spent - self.spent_before
-
-
-def _run_pipeline_task(
-    payload: tuple[
-        "Pipeline",
-        dict[str, Any],
-        Any,
-        Callable[[], BudgetAccountant] | None,
-        int | None,
-    ],
-) -> "PipelineRun":
-    """Self-contained ``run_many`` task body (module-level: picklable)."""
-    pipeline, initial, seed_sequence, accountant_factory, seed = payload
-    accountant = accountant_factory() if accountant_factory is not None else None
-    return pipeline.run(
-        initial,
-        rng=task_generator(seed_sequence),
-        accountant=accountant,
-        seed=seed,
-    )
 
 
 __all__ = ["Pipeline", "PipelineRun"]

@@ -198,22 +198,6 @@ ABLATION_PRIVACY_MODEL = _ablation(
 
 # -- benchmarks -------------------------------------------------------
 
-#: ``bench parallel_sweep``: four independent releases whose ε schedule
-#: spans the paper's sweep range, at the bench scale.
-BENCH_DEFAULT = register_scenario(
-    ScenarioSpec(
-        name="bench-default",
-        description="bench scale: four-point epsilon sweep on CA/uniform",
-        kind="bench",
-        dataset=DatasetRef("CA"),
-        scale="bench",
-        mechanism=MechanismSpec(
-            epsilons=EpsilonSchedule(sanitize=(2.0, 5.0, 10.0, 20.0))
-        ),
-        seeds=SeedPolicy(seed=7),
-    )
-)
-
 #: ``bench trace_overhead``: the golden-test geometry (8x8x24 matrix,
 #: 16 training days) with a two-point ε schedule.
 BENCH_TRACE_OVERHEAD = register_scenario(
@@ -351,7 +335,6 @@ __all__ = [
     "AUDIT_COMPOSED_SHARDED",
     "AUDIT_COMPOSED_STPT",
     "AUDIT_FRONTIER",
-    "BENCH_DEFAULT",
     "BENCH_TRACE_OVERHEAD",
     "FIG7_WPO",
     "FIG8AB_BUDGET",

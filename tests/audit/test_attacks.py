@@ -5,9 +5,9 @@ import pytest
 
 from repro.audit import (
     AttackResult,
+    BrokenIdentityTarget,
     ComposedSTPTTarget,
     audit_pair,
-    broken_identity_target,
     dp_advantage_bound,
     mann_whitney_auc,
     membership_inference_attack,
@@ -71,7 +71,7 @@ class TestMannWhitneyAuc:
 class TestThresholdAttack:
     def test_no_noise_target_is_a_perfect_distinguisher(self, pair):
         cells, dataset, neighbour = pair
-        target = broken_identity_target(cells, (1, 1))
+        target = BrokenIdentityTarget(cells, (1, 1))
         result = membership_inference_attack(
             target, dataset, neighbour,
             shadows=20, challenges=40, claimed_epsilon=1.0, rng=1,

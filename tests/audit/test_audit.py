@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.audit import (
+    BrokenIdentityTarget,
+    ComposedSTPTTarget,
+    MechanismAuditTarget,
     audit_epsilon,
-    broken_identity_target,
-    mechanism_target,
     neighbouring_readings,
-    stpt_target,
 )
 from repro.audit.estimator import (
     clopper_pearson_lower,
@@ -67,7 +67,7 @@ class TestNeighbouringReadings:
 class TestAuditEstimator:
     def test_honest_identity_passes(self, cells, neighbours):
         d, dp = neighbours
-        target = mechanism_target(Identity(), 1.0, cells, (4, 4))
+        target = MechanismAuditTarget(Identity(), 1.0, cells, (4, 4))
         result = audit_epsilon(
             target, d, dp, trials=300, claimed_epsilon=1.0, rng=1
         )
@@ -76,7 +76,7 @@ class TestAuditEstimator:
 
     def test_broken_mechanism_flagged(self, cells, neighbours):
         d, dp = neighbours
-        target = broken_identity_target(cells, (4, 4))
+        target = BrokenIdentityTarget(cells, (4, 4))
         result = audit_epsilon(
             target, d, dp, trials=60, claimed_epsilon=1.0, rng=2
         )
@@ -86,18 +86,18 @@ class TestAuditEstimator:
     def test_higher_budget_is_more_distinguishable(self, cells, neighbours):
         d, dp = neighbours
         tight = audit_epsilon(
-            mechanism_target(Identity(), 0.5, cells, (4, 4)),
+            MechanismAuditTarget(Identity(), 0.5, cells, (4, 4)),
             d, dp, trials=300, rng=3,
         )
         loose = audit_epsilon(
-            mechanism_target(Identity(), 50.0, cells, (4, 4)),
+            MechanismAuditTarget(Identity(), 50.0, cells, (4, 4)),
             d, dp, trials=300, rng=3,
         )
         assert loose.epsilon_point_estimate >= tight.epsilon_point_estimate
 
     def test_result_metadata(self, cells, neighbours):
         d, dp = neighbours
-        target = mechanism_target(Identity(), 1.0, cells, (4, 4))
+        target = MechanismAuditTarget(Identity(), 1.0, cells, (4, 4))
         result = audit_epsilon(target, d, dp, trials=50, rng=4)
         assert result.trials == 50
         assert result.confidence == 0.95
@@ -106,13 +106,13 @@ class TestAuditEstimator:
 
     def test_too_few_trials(self, cells, neighbours):
         d, dp = neighbours
-        target = mechanism_target(Identity(), 1.0, cells, (4, 4))
+        target = MechanismAuditTarget(Identity(), 1.0, cells, (4, 4))
         with pytest.raises(ConfigurationError):
             audit_epsilon(target, d, dp, trials=5)
 
     def test_invalid_confidence(self, cells, neighbours):
         d, dp = neighbours
-        target = mechanism_target(Identity(), 1.0, cells, (4, 4))
+        target = MechanismAuditTarget(Identity(), 1.0, cells, (4, 4))
         with pytest.raises(ConfigurationError):
             audit_epsilon(target, d, dp, trials=50, confidence=0.3)
 
@@ -138,7 +138,9 @@ class TestSTPTAudit:
             pattern=PatternConfig(window=3, epochs=1, embed_dim=8,
                                   hidden_dim=8, depth=1),
         )
-        target = stpt_target(config, cells, (4, 4))
+        target = ComposedSTPTTarget(
+            config, cells, (4, 4), statistic="pillar-sum"
+        )
         result = audit_epsilon(
             target, d, dp, trials=40, claimed_epsilon=3.0, rng=6
         )

@@ -19,7 +19,6 @@ from repro.audit import (
     ComposedSTPTTarget,
     audit_pair,
     collect_scores,
-    composed_stpt_target,
     run_composed_audit,
 )
 from repro.exceptions import ConfigurationError
@@ -53,7 +52,7 @@ class TestComposedTarget:
 
     def test_claimed_epsilon_is_the_config_total(self, resolved, pair):
         cells, __, __ = pair
-        target = composed_stpt_target(resolved.configs[0], cells, (1, 1))
+        target = ComposedSTPTTarget(resolved.configs[0], cells, (1, 1))
         assert target.claimed_epsilon == pytest.approx(
             resolved.configs[0].epsilon_total
         )
@@ -129,7 +128,7 @@ class TestHonestPipelinePasses:
 
     def test_non_audit_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_composed_audit("bench-default", trials=20)
+            run_composed_audit("bench-trace-overhead", trials=20)
 
 
 class TestDeterminism:

@@ -10,8 +10,12 @@ from repro.experiments.harness import (
     build_context,
     format_table,
     run_mechanism,
+    run_mechanisms,
     run_stpt,
+    run_stpt_many,
+    run_stpt_sweep,
 )
+from repro.obs import Metrics, Tracer, use_metrics, use_tracer
 from repro.scenarios.presets import CI, PAPER, active_preset
 
 
@@ -87,6 +91,45 @@ class TestRunners:
 
     def test_run_mechanism(self, tiny_context):
         mre, elapsed = run_mechanism(tiny_context, Identity(), rng=0)
+        assert set(mre) == set(QUERY_KINDS)
+        assert elapsed >= 0
+
+
+class TestSerialFanOut:
+    """A serial fan-out runs through the serial executor, like a pooled one."""
+
+    @staticmethod
+    def traced(fn):
+        tracer = Tracer()
+        with use_tracer(tracer), use_metrics(Metrics()):
+            out = fn()
+        [run_span] = [s for s in tracer.spans if s.name == "parallel.run"]
+        assert run_span.attributes["executor"] == "serial"
+        return out
+
+    @staticmethod
+    def assert_serial_records(results):
+        for result, __ in results:
+            assert result.records
+            assert all(record.worker == "serial" for record in result.records)
+            assert result.records[0].queued_seconds == 0.0
+
+    def test_stpt_sweep(self, tiny_context):
+        configs = [tiny_context.preset.stpt_config(epsilon_sanitize=10.0)]
+        self.assert_serial_records(
+            self.traced(lambda: run_stpt_sweep(tiny_context, configs, rng=3))
+        )
+
+    def test_stpt_many(self, tiny_context):
+        configs = [tiny_context.preset.stpt_config(epsilon_sanitize=10.0)]
+        self.assert_serial_records(
+            self.traced(lambda: run_stpt_many(tiny_context, configs, rng=3))
+        )
+
+    def test_mechanisms(self, tiny_context):
+        [(mre, elapsed)] = self.traced(
+            lambda: run_mechanisms(tiny_context, [Identity()], rng=3)
+        )
         assert set(mre) == set(QUERY_KINDS)
         assert elapsed >= 0
 

@@ -1,4 +1,4 @@
-"""Benchmark trend histories and ``repro bench --trend``."""
+"""Benchmark trend histories and the ``repro bench NAME`` write path."""
 
 import json
 
@@ -12,14 +12,12 @@ from repro.experiments.trend import (
     append_result,
     check_regression,
     compact_entry,
-    enforceable_entry,
     load_history,
     metric_value,
     trend_rows,
 )
 
 SPEEDUP = Threshold(metrics=("speedup",), floor=2.0)
-GATED = Threshold(metrics=("speedup",), floor=2.0, gate="speedup_asserted")
 
 
 class TestThreshold:
@@ -44,23 +42,6 @@ class TestMetricValue:
 
 
 class TestHistory:
-    def test_legacy_snapshot_migrates_in_place(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(
-            {"commit": "a" * 40, "wall_seconds": 1.5, "speedup": 3.0}
-        ))
-        history = append_result(
-            path, {"commit": "b" * 40, "wall_seconds": 1.2, "speedup": 2.8},
-            SPEEDUP,
-        )
-        assert [e["commit"][:1] for e in history] == ["a", "b"]
-        assert [e["metrics"]["speedup"] for e in history] == [3.0, 2.8]
-        # The newest payload stays flat at the top level (superset of
-        # the original snapshot format).
-        merged = json.loads(path.read_text())
-        assert merged["speedup"] == 2.8
-        assert len(merged["history"]) == 2
-
     def test_history_accumulates_across_runs(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         for run in range(3):
@@ -69,13 +50,27 @@ class TestHistory:
                        "speedup": 3.0},
                 SPEEDUP,
             )
-        assert len(load_history(path, SPEEDUP)) == 3
+        assert len(load_history(path)) == 3
+        # The newest payload stays flat at the top level.
+        assert json.loads(path.read_text())["commit"] == "2" * 40
 
     def test_corrupt_file_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         path.write_text("not json")
         with pytest.raises(ConfigurationError):
-            load_history(path, SPEEDUP)
+            load_history(path)
+
+    @pytest.mark.parametrize("history", [None, {"commit": "a"}])
+    def test_file_without_a_history_list_is_a_configuration_error(
+        self, tmp_path, history
+    ):
+        payload = {"commit": "a" * 40, "wall_seconds": 1.5, "speedup": 3.0}
+        if history is not None:
+            payload["history"] = history
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="history"):
+            load_history(path)
 
     def test_trend_rows_union_metric_columns(self):
         rows = trend_rows([
@@ -107,12 +102,6 @@ class TestCheckRegression:
         history = [compact_entry({}, SPEEDUP)]
         assert "missing" in check_regression("x", history, SPEEDUP)[0]
 
-    def test_unasserted_gate_skips_enforcement(self):
-        history = [compact_entry(
-            {"speedup": 1.0, "speedup_asserted": False}, GATED
-        )]
-        assert check_regression("x", history, GATED) == []
-
     def test_ratchet_catches_a_drop_above_the_absolute_floor(self):
         history = [
             compact_entry({"speedup": 8.0}, SPEEDUP),
@@ -141,123 +130,21 @@ class TestCheckRegression:
 
 class TestHardwareProvenance:
     def test_cpu_count_travels_into_entry_and_rows(self):
-        entry = compact_entry(
-            {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-            GATED,
-        )
+        entry = compact_entry({"speedup": 4.0, "cpu_count": 8}, SPEEDUP)
         assert entry["cpu_count"] == 8
         assert trend_rows([entry])[0]["cpus"] == 8
 
-    def test_single_core_entry_is_not_enforceable_when_gated(self):
-        single = compact_entry(
-            {"speedup": 1.07, "cpu_count": 1, "speedup_asserted": True},
-            GATED,
-        )
-        multi = compact_entry(
-            {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-            GATED,
-        )
-        assert not enforceable_entry(single, GATED)
-        assert enforceable_entry(multi, GATED)
-        # Ungated thresholds enforce everywhere, cores or not.
-        assert enforceable_entry(single, SPEEDUP)
-
-    def test_unasserted_entry_is_not_enforceable(self):
-        entry = compact_entry(
-            {"speedup": 1.0, "cpu_count": 8, "speedup_asserted": False},
-            GATED,
-        )
-        assert not enforceable_entry(entry, GATED)
-
-    def test_entry_missing_the_gate_verdict_is_not_enforceable(self):
-        # A hand-written or pre-gate entry carries no "asserted" key at
-        # all. On a gated benchmark it must be treated as unasserted —
-        # only an explicit asserted: true can anchor the ratchet.
-        legacy = {"commit": "abc", "metrics": {"speedup": 20.0}}
-        assert not enforceable_entry(legacy, GATED)
-        assert enforceable_entry(legacy, SPEEDUP)
-
-    def test_unasserted_high_run_never_sets_the_ratchet_floor(self):
-        # The BENCH_sharded_publish failure mode: a wild unasserted
-        # number (here 20x; 0.814x on the real 1-core box) must not
-        # become the bar a later asserted run is ratcheted against.
-        history = [
-            compact_entry(
-                {"speedup": 5.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 20.0, "cpu_count": 8, "speedup_asserted": False},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 4.2, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-        ]
-        # 4.2 vs the asserted 5.0 baseline is within ratchet slack;
-        # vs the bogus 20.0 it would be a hard failure.
-        assert check_regression("x", history, GATED) == []
-
-    def test_verdictless_entry_refused_as_ratchet_baseline(self):
-        history = [
-            {"commit": "old", "metrics": {"speedup": 20.0}},
-            compact_entry(
-                {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-        ]
-        assert check_regression("x", history, GATED) == []
-
-    def test_single_core_run_never_fails_the_gate(self):
-        # 1.07x on one core is a fact, not a regression: below both the
-        # absolute floor and the would-be ratchet, yet exempt.
-        history = [
-            compact_entry(
-                {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 1.07, "cpu_count": 1, "speedup_asserted": True},
-                GATED,
-            ),
-        ]
-        assert check_regression("x", history, GATED) == []
-
-    def test_ineligible_entries_refused_as_ratchet_baseline(self):
-        # The unasserted single-core 1.07x must not become the bar a
-        # real 8-core run is ratcheted against — the baseline skips
-        # back to the last eligible entry (8.0), which 4.0 violates.
-        history = [
-            compact_entry(
-                {"speedup": 8.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 1.07, "cpu_count": 1, "speedup_asserted": False},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-        ]
-        failures = check_regression("x", history, GATED)
+    def test_ratchet_base_is_the_previous_entry_on_any_core_count(self):
+        # A single-core entry is enforced and anchors the ratchet like
+        # any other: 4.0 after 1.07 passes, 4.0 after 8.0 does not.
+        low = compact_entry({"speedup": 1.07, "cpu_count": 1}, SPEEDUP)
+        high = compact_entry({"speedup": 8.0, "cpu_count": 8}, SPEEDUP)
+        newest = compact_entry({"speedup": 4.0, "cpu_count": 8}, SPEEDUP)
+        assert check_regression("x", [high, low, newest], SPEEDUP) == []
+        failures = check_regression("x", [low, high, newest], SPEEDUP)
         assert len(failures) == 1
-        assert "8" in failures[0]
-
-    def test_no_eligible_baseline_means_absolute_floor_only(self):
-        history = [
-            compact_entry(
-                {"speedup": 1.0, "cpu_count": 1, "speedup_asserted": True},
-                GATED,
-            ),
-            compact_entry(
-                {"speedup": 4.0, "cpu_count": 8, "speedup_asserted": True},
-                GATED,
-            ),
-        ]
-        assert check_regression("x", history, GATED) == []
+        assert "previous recorded 8" in failures[0]
+        assert "regressed below" in check_regression("x", [low], SPEEDUP)[0]
 
 
 @pytest.fixture()
@@ -278,10 +165,10 @@ class TestBenchTrendCli:
         self, fake_benchmark, tmp_path, capsys
     ):
         out = tmp_path / "BENCH_fake_trend.json"
-        assert main(["bench", "fake_trend", "--trend", "--out", str(out)]) == 0
+        assert main(["bench", "fake_trend", "--out", str(out)]) == 0
         fake_benchmark["commit"] = "b" * 40
         fake_benchmark["speedup"] = 2.7
-        assert main(["bench", "fake_trend", "--trend", "--out", str(out)]) == 0
+        assert main(["bench", "fake_trend", "--out", str(out)]) == 0
         history = json.loads(out.read_text())["history"]
         assert [e["commit"][:1] for e in history] == ["a", "b"]
         assert [e["metrics"]["speedup"] for e in history] == [3.0, 2.7]
@@ -291,16 +178,39 @@ class TestBenchTrendCli:
         self, fake_benchmark, tmp_path, capsys
     ):
         out = tmp_path / "BENCH_fake_trend.json"
-        assert main(["bench", "fake_trend", "--trend", "--out", str(out)]) == 0
+        assert main(["bench", "fake_trend", "--out", str(out)]) == 0
         fake_benchmark["speedup"] = 1.1
-        assert main(["bench", "fake_trend", "--trend", "--out", str(out)]) == 1
+        assert main(["bench", "fake_trend", "--out", str(out)]) == 1
         assert "regressed below" in capsys.readouterr().err
         # The regressing run still lands in the history.
         assert len(json.loads(out.read_text())["history"]) == 2
 
-    def test_without_trend_the_snapshot_format_is_unchanged(
+    def test_plain_run_appends_to_a_checked_in_history(
         self, fake_benchmark, tmp_path
     ):
         out = tmp_path / "BENCH_fake_trend.json"
+        entry = compact_entry(
+            {"commit": "0" * 40, "wall_seconds": 1.0, "speedup": 3.0},
+            SPEEDUP,
+        )
+        out.write_text(json.dumps({"speedup": 3.0, "history": [entry] * 2}))
         assert main(["bench", "fake_trend", "--out", str(out)]) == 0
-        assert "history" not in json.loads(out.read_text())
+        history = json.loads(out.read_text())["history"]
+        assert [e["commit"][:1] for e in history] == ["0", "0", "a"]
+
+    def test_file_without_history_is_refused_before_the_run(
+        self, fake_benchmark, tmp_path, capsys
+    ):
+        out = tmp_path / "BENCH_fake_trend.json"
+        snapshot = json.dumps({"commit": "0" * 40, "speedup": 3.0})
+        out.write_text(snapshot)
+        assert main(["bench", "fake_trend", "--out", str(out)]) == 1
+        assert "history" in capsys.readouterr().err
+        assert out.read_text() == snapshot
+
+    def test_trend_flag_is_gone(self, fake_benchmark, tmp_path):
+        out = tmp_path / "BENCH_fake_trend.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "fake_trend", "--trend", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()

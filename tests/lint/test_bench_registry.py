@@ -40,6 +40,10 @@ def test_bench_payload_is_consistent():
             f"{payload.get('benchmark')!r}, expected {name!r}"
         )
         assert "wall_seconds" in payload, f"{path.name} missing wall_seconds"
+        # ``repro bench`` refuses a file it cannot append to.
+        assert isinstance(payload.get("history"), list), (
+            f"{path.name} has no history list"
+        )
 
 
 def test_every_benchmark_declares_a_threshold_string():
@@ -71,9 +75,8 @@ def test_audit_suite_is_trend_gated_on_all_gates():
 
 def test_trend_histories_match_their_registered_threshold():
     """A seeded history's newest entry must carry every metric the
-    registered threshold enforces, and — when the threshold is gated —
-    an explicit asserted verdict, so ``--trend`` can always adjudicate
-    the next run against what is checked in."""
+    registered threshold enforces, so ``repro bench`` can always
+    adjudicate the next run against what is checked in."""
     for path in _bench_files():
         name = path.stem.removeprefix("BENCH_")
         threshold = TREND_THRESHOLDS.get(name)
@@ -85,9 +88,4 @@ def test_trend_histories_match_their_registered_threshold():
         for metric in threshold.metrics:
             assert metric in newest.get("metrics", {}), (
                 f"{path.name} newest entry lacks trend metric {metric!r}"
-            )
-        if threshold.gate is not None:
-            assert "asserted" in newest, (
-                f"{path.name} is gated on {threshold.gate!r} but its "
-                f"newest entry records no asserted verdict"
             )

@@ -10,21 +10,29 @@
 * Every ``python -m repro ...`` command in a fenced block of the README
   or ``docs/`` parses with the real CLI parser, so a removed flag or
   subcommand cannot linger in the documentation. Nothing is executed.
+* Every program name the end-to-end benchmark (``perfbench/``) imports
+  or wraps still resolves, and the server command line it launches
+  still parses, so a deletion in ``src/`` cannot break a benchmark run
+  that tier-1 never starts.
 """
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 import tomllib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import _build_parser
+from repro.core import stpt
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -125,3 +133,61 @@ def test_documented_cli_examples_parse():
             if exit_info.code:
                 stale.append(f"{source}: {line}")
     assert not stale, "documented commands the CLI rejects:\n" + "\n".join(stale)
+
+
+#: The top-level modules ``perfbench/`` puts on ``sys.path``.
+_PERFBENCH_MODULES = (
+    "bench",
+    "measure",
+    "publish_phase",
+    "serve_launcher",
+    "serve_phase",
+    "spans",
+)
+
+
+@pytest.fixture()
+def perfbench_modules(monkeypatch):
+    """Import perfbench's modules; leave ``sys.path``/``sys.modules`` as found."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    saved = {
+        name: sys.modules.pop(name)
+        for name in _PERFBENCH_MODULES
+        if name in sys.modules
+    }
+    try:
+        yield {
+            name: importlib.import_module(name)
+            for name in _PERFBENCH_MODULES
+        }
+    finally:
+        for name in _PERFBENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def test_perfbench_hooks_resolve(perfbench_modules, tmp_path):
+    """A traced perfbench run wraps ~20 program names; installing them
+    raises AttributeError on the first one a change removed."""
+    spans = perfbench_modules["spans"]
+    with spans.Tracing(tmp_path) as tracing:
+        tracing.install_publish()
+        tracing.install_serve()
+        patches = list(tracing._patches)
+    assert (stpt, "execute") in [(owner, attr) for owner, attr, __ in patches]
+    left_wrapped = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, original in patches
+        if getattr(owner, attr) is not original
+    ]
+    assert not left_wrapped, f"perfbench left wrappers installed: {left_wrapped}"
+
+    run = perfbench_modules["bench"].Run(
+        SimpleNamespace(workload="serve", seed=1, seconds=6, smoke=True),
+        tmp_path,
+        tmp_path,
+    )
+    argv = run.server_argv(None)
+    assert argv[1:3] == ["-m", "repro"]
+    args = _build_parser().parse_args([*argv[3:], "--release", "a=b"])
+    assert (args.command, args.port, args.release) == ("serve", 0, ["a=b"])

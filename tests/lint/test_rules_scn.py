@@ -58,7 +58,7 @@ class TestInlineScenarioConfigRule:
             from repro.scenarios import resolve_scenario
 
             def bench_sweep():
-                resolved = resolve_scenario("bench-default")
+                resolved = resolve_scenario("bench-trace-overhead")
                 return resolved.configs
             """,
             rule="SCN001",

@@ -8,8 +8,6 @@ golden STPT publication under a live tracer must reproduce the frozen
 goldens bit for bit.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -23,14 +21,14 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.tracer import iter_children
-from repro.pipeline import ArtifactStore
+from repro.parallel import execute, spawn_seed_sequences, task_generator
+from repro.pipeline import ArtifactStore, Pipeline, Stage
 from repro.queries.engine import QueryEngine
 
 from tests.pipeline.test_determinism_golden import (
     assert_matches_goldens,
     publish,
 )
-from tests.parallel.test_run_many import build_pipeline
 
 STAGES = (
     "stpt/pattern-noise",
@@ -38,6 +36,55 @@ STAGES = (
     "stpt/quantize",
     "stpt/sanitize",
 )
+
+
+def noisy_scale(ctx, x):
+    return x * (1.0 + ctx.rng.standard_normal())
+
+
+def spend_epsilon(ctx, scaled):
+    # Toy charged stage: the wiring tests need a debit and a draw, not
+    # a calibrated mechanism.
+    ctx.accountant.spend(0.5, "release")
+    return scaled + ctx.rng.standard_normal()
+
+
+def build_pipeline(store=None):
+    return Pipeline(
+        [
+            Stage(
+                name="scale",
+                fn=noisy_scale,
+                inputs=("x",),
+                output="scaled",
+                uses_rng=True,
+            ),
+            Stage(
+                name="release",
+                fn=spend_epsilon,
+                inputs=("scaled",),
+                output="released",
+                spends_budget=True,
+                uses_rng=True,
+            ),
+        ],
+        store=store,
+    )
+
+
+def _pipeline_task(payload):
+    """One toy pipeline run with its own accountant (an executor task)."""
+    initial, seed = payload
+    return build_pipeline().run(
+        initial, rng=task_generator(seed), accountant=BudgetAccountant(1.0)
+    )
+
+
+def fan_out(initials, rng, workers=None):
+    seeds = spawn_seed_sequences(rng, len(initials))
+    return execute(
+        _pipeline_task, list(zip(initials, seeds)), workers=workers
+    ).values
 
 
 @pytest.fixture(scope="module")
@@ -190,14 +237,8 @@ class TestResourceSnapshots:
 class TestExecutorSpans:
     def test_fork_workers_spool_spans_home(self):
         tracer = Tracer()
-        factory = functools.partial(BudgetAccountant, 1.0)
         with use_tracer(tracer), use_metrics(Metrics()):
-            runs = build_pipeline().run_many(
-                [{"x": float(i)} for i in range(4)],
-                rng=11,
-                workers=2,
-                accountant_factory=factory,
-            )
+            runs = fan_out([{"x": float(i)} for i in range(4)], rng=11, workers=2)
         assert len(runs) == 4
         run_span = next(
             s for s in tracer.spans if s.name == "parallel.run"
@@ -217,14 +258,8 @@ class TestExecutorSpans:
 
     def test_fork_worker_metrics_merge_into_parent(self):
         metrics = Metrics()
-        factory = functools.partial(BudgetAccountant, 1.0)
         with use_metrics(metrics):
-            build_pipeline().run_many(
-                [{"x": 1.0}] * 3,
-                rng=4,
-                workers=2,
-                accountant_factory=factory,
-            )
+            fan_out([{"x": 1.0}] * 3, rng=4, workers=2)
         assert metrics.counter_value("parallel.tasks") == 3.0
         assert metrics.counter_value("dp.epsilon.spent") == pytest.approx(
             1.5
@@ -234,11 +269,8 @@ class TestExecutorSpans:
 
     def test_serial_executor_spans_inline(self):
         tracer = Tracer()
-        factory = functools.partial(BudgetAccountant, 1.0)
         with use_tracer(tracer), use_metrics(Metrics()):
-            build_pipeline().run_many(
-                [{"x": 1.0}] * 2, rng=2, accountant_factory=factory
-            )
+            fan_out([{"x": 1.0}] * 2, rng=2)
         run_span = next(
             s for s in tracer.spans if s.name == "parallel.run"
         )
@@ -247,15 +279,10 @@ class TestExecutorSpans:
         assert [t.attributes["index"] for t in tasks] == [0, 1]
 
     def test_untraced_parallel_results_match_traced(self):
-        factory = functools.partial(BudgetAccountant, 1.0)
         initials = [{"x": float(i + 1)} for i in range(3)]
-        plain = build_pipeline().run_many(
-            initials, rng=6, workers=2, accountant_factory=factory
-        )
+        plain = fan_out(initials, rng=6, workers=2)
         with use_tracer(Tracer()), use_metrics(Metrics()):
-            under = build_pipeline().run_many(
-                initials, rng=6, workers=2, accountant_factory=factory
-            )
+            under = fan_out(initials, rng=6, workers=2)
         assert [r.artifact("released") for r in plain] == [
             r.artifact("released") for r in under
         ]

@@ -5,7 +5,8 @@ import pytest
 
 from repro.dp.budget import BudgetAccountant
 from repro.exceptions import ConfigurationError
-from repro.pipeline import ArtifactStore, Pipeline, Stage
+from repro.parallel import TaskRecord
+from repro.pipeline import ArtifactStore, Pipeline, RunRecord, Stage, stamp_task
 
 
 def double(ctx, x):
@@ -219,3 +220,19 @@ class TestAccounting:
         run = Pipeline([make_double_stage()]).run(initial={"x": 1.0})
         assert run.epsilon_spent == 0.0
         assert run.accountant is None
+
+
+class TestStampTask:
+    def test_every_record_gets_the_worker_and_the_first_the_queue_wait(self):
+        records = [
+            RunRecord(stage=name, seconds=1.0, epsilon_spent=0.0,
+                      spends_budget=False, cached=False)
+            for name in ("a", "b", "c")
+        ]
+        task = TaskRecord(index=0, label="t", worker="pid:7",
+                          queued_seconds=0.25, seconds=3.0)
+        stamped = stamp_task(iter(records), task)
+        assert [r.worker for r in stamped] == ["pid:7"] * 3
+        assert [r.queued_seconds for r in stamped] == [0.25, 0.0, 0.0]
+        assert [r.stage for r in stamped] == ["a", "b", "c"]
+        assert stamp_task([], task) == []

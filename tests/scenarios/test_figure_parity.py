@@ -8,7 +8,7 @@ fails here — the spec and the run must drift together, loudly.
 
 import pytest
 
-from repro.scenarios import BENCH, CI, resolve_scenario, scenario_names
+from repro.scenarios import CI, resolve_scenario, scenario_names
 
 
 @pytest.mark.parametrize("dataset", ["cer", "ca", "mi", "tx"])
@@ -89,13 +89,6 @@ def test_ablation_axes_cover_both_arms():
         assert [getattr(c, field) for c in resolved.configs] == list(
             resolved.values
         )
-
-
-def test_bench_default_schedule_and_scale():
-    resolved = resolve_scenario("bench-default")
-    assert resolved.preset == BENCH
-    assert resolved.epsilon_schedule == (2.0, 5.0, 10.0, 20.0)
-    assert resolved.spec.seeds.seed == 7
 
 
 def test_bench_trace_overhead_golden_geometry():

@@ -33,7 +33,7 @@ class TestLookup:
     def test_kind_filter(self):
         figures = scenario_names(kind="figure")
         assert "fig6-cer" in figures
-        assert "bench-default" not in figures
+        assert "bench-trace-overhead" not in figures
 
 
 class TestDuplicates:

@@ -139,21 +139,26 @@ class TestBench:
 
         monkeypatch.setitem(
             bench_module.BENCHMARKS,
-            "parallel_sweep",
-            lambda workers=None: {"benchmark": "parallel_sweep", "speedup": 5.0},
+            "fake_bench",
+            lambda workers=None: {"benchmark": "fake_bench"},
         )
-        out = tmp_path / "BENCH_parallel_sweep.json"
-        code = main(["bench", "parallel_sweep", "--out", str(out)])
+        out = tmp_path / "BENCH_fake_bench.json"
+        code = main(["bench", "fake_bench", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "parallel_sweep"
+        assert payload["benchmark"] == "fake_bench"
         assert payload["wall_seconds"] >= 0.0
         assert "commit" in payload
-        assert "speedup 5.00x" in capsys.readouterr().out
+        assert f"wrote {out}" in capsys.readouterr().out
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "does-not-exist"])
+
+    def test_retired_parallel_sweep_exits_2(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "parallel_sweep"])
+        assert exit_info.value.code == 2
 
 
 class TestEvaluate:

@@ -57,7 +57,8 @@ class TestAuditRun:
 
     def test_non_audit_scenario_rejected(self, capsys):
         assert main([
-            "audit", "run", "--scenario", "bench-default", "--trials", "20",
+            "audit", "run", "--scenario", "bench-trace-overhead",
+            "--trials", "20",
         ]) == 1
         assert "kind" in capsys.readouterr().err
 

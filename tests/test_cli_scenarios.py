@@ -36,7 +36,7 @@ class TestScenariosList:
     def test_kind_filter(self, capsys):
         assert main(["scenarios", "list", "--kind", "bench"]) == 0
         out = capsys.readouterr().out
-        assert "bench-default" in out
+        assert "bench-trace-overhead" in out
         assert "fig6-cer" not in out
 
     def test_audit_kind_filter(self, capsys):
@@ -45,7 +45,7 @@ class TestScenariosList:
         assert "audit-composed-stpt" in out
         assert "audit-composed-sharded" in out
         assert "audit-frontier" in out
-        assert "bench-default" not in out
+        assert "bench-trace-overhead" not in out
 
 
 class TestScenariosShow:
