@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ConfigurationError
 from repro.parallel import execute, spawn_seed_sequences, task_generator
@@ -66,6 +65,11 @@ def clopper_pearson_upper(successes: int, trials: int, alpha: float) -> float:
     """One-sided upper confidence bound on a binomial proportion."""
     if successes >= trials:
         return 1.0
+    # Imported on use: scipy is the heaviest import of the package and
+    # these two bounds are its only users, so ``import repro.cli``
+    # (every CLI process, a server included) never loads it.
+    from scipy import stats
+
     return float(stats.beta.ppf(1.0 - alpha, successes + 1, trials - successes))
 
 
@@ -73,6 +77,8 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     """One-sided lower confidence bound on a binomial proportion."""
     if successes <= 0:
         return 0.0
+    from scipy import stats
+
     return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
 
 

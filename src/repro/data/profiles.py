@@ -50,8 +50,9 @@ _DAILY_SHAPE = np.array(
 # home (matches the Figure 9 profile of the paper's datasets).
 _WEEKLY_SHAPE = np.array([0.97, 0.96, 0.96, 0.97, 1.00, 1.08, 1.06])
 
-# Readings per row block of generate_profiles' final pass: the block's
-# temporaries stay cache-sized and far below the corpus itself.
+# Readings per row block of generate_profiles' final pass, and the
+# longest run _variance squares at once: the temporaries stay
+# cache-sized and far below the corpus itself.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -102,12 +103,13 @@ def generate_profiles(
     0 for Monday.
 
     The returned array is the only corpus-sized buffer the generator
-    allocates: the AR noise is generated in it, then each block of rows
-    is multiplied by the other factors in place. The peak is about twice
-    the result (``np.var`` takes one full-size temporary). Every product
-    keeps its left-to-right operand order and the per-block shock draws
-    continue one generator stream, so the bits are those of building
-    every factor at full size (docs/performance.md, "Context build").
+    allocates: the AR noise is generated in it, its variance is summed
+    one block at a time (:func:`_variance`), then each block of rows is
+    multiplied by the other factors in place, so the peak is not much
+    above the result itself. Every product keeps its left-to-right
+    operand order and the per-block shock draws continue one generator
+    stream, so the bits are those of building every factor at full size
+    (docs/performance.md, "Context build").
     """
     if n_households <= 0 or n_hours <= 0:
         raise ConfigurationError("n_households and n_hours must be positive")
@@ -145,7 +147,7 @@ def generate_profiles(
     corpus[:, 0] /= np.sqrt(1.0 - config.ar_coeff**2)
     for t in range(1, n_hours):
         corpus[:, t] += config.ar_coeff * corpus[:, t - 1]
-    corpus -= corpus.var() / 2.0
+    corpus -= _variance(corpus) / 2.0
     np.exp(corpus, out=corpus)
 
     # Slow common-mode shock shared by every household — the weather /
@@ -179,6 +181,41 @@ def generate_profiles(
         )
     corpus /= corpus.mean()
     return corpus
+
+
+def _variance(values: np.ndarray) -> np.float64:
+    """``values.var()`` bit for bit, without its full-size temporary.
+
+    numpy's ``var`` divides ``np.add.reduce`` of the values by their
+    count, then sums the squared deviations pairwise: a reduce over
+    ``n`` elements adds the sums of its first ``n // 2`` (rounded down
+    to a multiple of 8) and of the rest, recursively. Splitting the
+    same way down to runs of at most ``_BLOCK_ELEMENTS`` and reducing
+    each run with ``np.add.reduce`` adds the same partial sums in the
+    same order, while only one run of squared deviations exists at a
+    time. ``tests/data/test_corpus_build.py`` pins the equality.
+    """
+    flat = values.reshape(-1)
+    mean = np.add.reduce(flat) / flat.size
+    return _squared_deviations_sum(flat, mean) / flat.size
+
+
+def _squared_deviations_sum(run: np.ndarray, mean: np.float64) -> np.float64:
+    """``np.add.reduce((run - mean) ** 2)``, one block at a time.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, and it would keep the corpus alive until the next
+    garbage collection.
+    """
+    if run.size <= _BLOCK_ELEMENTS:
+        deviations = run - mean
+        np.multiply(deviations, deviations, out=deviations)
+        return np.add.reduce(deviations)
+    half = run.size // 2
+    half -= half % 8
+    return _squared_deviations_sum(run[:half], mean) + _squared_deviations_sum(
+        run[half:], mean
+    )
 
 
 def aggregate_daily(readings: np.ndarray) -> np.ndarray:

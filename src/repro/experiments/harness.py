@@ -290,24 +290,30 @@ def run_stpt(
     return result, context.mre_of(result.sanitized_kwh)
 
 
-def _sweep_point_task(payload: tuple) -> STPTResult:
-    """One sweep point, its pattern stages pinned to the shared seed.
+def _sweep_group_task(payload: tuple) -> list[STPTResult]:
+    """The sweep points of one pattern phase, in order, in one process.
 
     The payload carries plain seeds (never live generators — RNG100)
     plus the caller's store: in-process it keeps its memory tier, while
-    a fork worker's pickled copy shares only the lock-protected disk
-    tier.
+    a fork worker's pickled copy starts with only the lock-protected
+    disk tier. Either way the group's points share that one store, so
+    the first point fits the forecaster and the rest replay it.
     """
-    config, point_seed, pattern_seed, norm, clip_scale, store = payload
-    pattern_rng = ensure_rng(pattern_seed)
-    return STPT(config, rng=point_seed, store=store).publish(
-        norm,
-        clip_scale=clip_scale,
-        stage_rngs={
-            "stpt/pattern-noise": pattern_rng,
-            "stpt/pattern-train": pattern_rng,
-        },
-    )
+    points, pattern_seed, norm, clip_scale, store = payload
+    results = []
+    for config, point_seed in points:
+        pattern_rng = ensure_rng(pattern_seed)
+        results.append(
+            STPT(config, rng=point_seed, store=store).publish(
+                norm,
+                clip_scale=clip_scale,
+                stage_rngs={
+                    "stpt/pattern-noise": pattern_rng,
+                    "stpt/pattern-train": pattern_rng,
+                },
+            )
+        )
+    return results
 
 
 #: Flow-analysis role (repro.lint.flow): every result in the sweep is a
@@ -335,19 +341,34 @@ def publish_stpt_sweep(
     if store is None:
         store = ArtifactStore()
     pattern_seed = derive_seed(generator)
-    payloads = [
-        (config, derive_seed(generator), pattern_seed, norm, clip_scale, store)
-        for config in configs
-    ]
+    point_seeds = [derive_seed(generator) for __ in configs]
+    # Points whose pattern stages are configured alike form one group.
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        key = (config.epsilon_pattern, config.pattern, config.t_train, config.rollout)
+        groups.setdefault(key, []).append(index)
     executed = execute(
-        _sweep_point_task,
-        payloads,
+        _sweep_group_task,
+        [
+            (
+                [(configs[i], point_seeds[i]) for i in members],
+                pattern_seed, norm, clip_scale, store,
+            )
+            for members in groups.values()
+        ],
         workers=workers,
-        labels=[f"stpt-sweep[{i}]" for i in range(len(payloads))],
+        labels=[f"stpt-sweep{members}" for members in groups.values()],
     )
-    for result, task in zip(executed.values, executed.tasks):
-        result.records = stamp_task(result.records, task)
-    return list(executed.values)
+    results = [None] * len(configs)
+    for members, values, task in zip(
+        groups.values(), executed.values, executed.tasks
+    ):
+        for index, result in zip(members, values):
+            result.records = stamp_task(result.records, task)
+            results[index] = result
+            # The group waited in the queue once, before its first point.
+            task = replace(task, queued_seconds=0.0)
+    return results
 
 
 def run_stpt_sweep(
@@ -373,15 +394,18 @@ def run_stpt_sweep(
     ε_pattern + Σ ε_sanitize, even though each returned result's own
     accountant reports its configured total.
 
-    Each point is one :func:`~repro.parallel.execute` task. With
-    ``workers >= 2`` the points run on a process pool and the results
+    The points whose pattern stages are configured alike run in order
+    as one :func:`~repro.parallel.execute` task, so at any ``workers``
+    value each distinct pattern phase is fitted once and the other
+    points of its group replay it, with or without a disk tier (a fork
+    worker receives only the disk tier of ``store``, never its memory
+    tier). With ``workers >= 2`` the groups run on a process pool: an
+    ``epsilon_sanitize`` sweep is one group, while a sweep over
+    ``epsilon_pattern`` trains its forecasters in parallel. The results
     are **bit-identical** to the serial executor's: all seeds are
     derived before dispatch, every point is an independent release with
     its own accountant, and a cache replay is — by the pipeline cache's
-    contract — bit-exact for a recomputation. Workers share artifacts
-    only through ``store``'s disk tier (when it has one); with a pure
-    in-memory store each worker trains its own pattern phase, trading
-    cache reuse for wall-clock parallelism.
+    contract — bit-exact for a recomputation.
     """
     results = publish_stpt_sweep(
         context.norm,

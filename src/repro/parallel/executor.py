@@ -196,7 +196,9 @@ class ParallelExecutor:
     Tasks are dispatched to a :class:`concurrent.futures.ProcessPoolExecutor`
     (fork start method where available — cheap on Linux, and payloads
     still travel by pickle so nothing depends on inherited state) and
-    results are collected **in submission order**.
+    results are collected **in submission order**. The pool holds
+    ``min(workers, tasks)`` processes; :attr:`ExecutionResult.workers`
+    reports the configured ``workers``.
     """
 
     def __init__(self, workers: int) -> None:
@@ -231,8 +233,11 @@ class ParallelExecutor:
                 tasks=len(payloads),
                 workers=self.workers,
             ):
+                # A fork pool starts all of its processes at the first
+                # submit, so never size it beyond the task count.
                 with ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=_mp_context()
+                    max_workers=min(self.workers, len(payloads)),
+                    mp_context=_mp_context(),
                 ) as pool:
                     try:
                         futures = []

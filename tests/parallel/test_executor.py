@@ -1,5 +1,6 @@
 """Executor contract: ordering, determinism, records, error wrapping."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.parallel import (
     spawn_seed_sequences,
     task_generator,
 )
+from repro.parallel import executor as executor_module
 
 
 def square(x):
@@ -74,6 +76,21 @@ class TestParallelExecutor:
         result = ParallelExecutor(2).run(square, [])
         assert result.values == []
         assert result.workers == 2
+
+    def test_pool_never_outnumbers_the_tasks(self, monkeypatch):
+        sizes = []
+
+        class CountingPool(executor_module.ProcessPoolExecutor):
+            def __exit__(self, *exc_info):
+                sizes.append(len(multiprocessing.active_children()))
+                return super().__exit__(*exc_info)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+        result = ParallelExecutor(4).run(square, [2, 3])
+        # A fork pool starts every process it may use at the first submit.
+        assert sizes == [2]
+        assert result.values == [4, 9]
+        assert result.workers == 4
 
     def test_matches_serial_bit_for_bit(self):
         seeds = spawn_seed_sequences(np.random.default_rng(7), 6)

@@ -16,7 +16,17 @@ from repro.experiments.harness import (
     run_stpt_many,
     run_stpt_sweep,
 )
+from repro.obs import Metrics, Tracer, use_metrics, use_tracer
 from repro.pipeline import ArtifactStore
+
+
+def traced_sweep(context, configs, workers):
+    """The sweep's results and the number of tasks it submitted."""
+    tracer = Tracer()
+    with use_tracer(tracer), use_metrics(Metrics()):
+        results = run_stpt_sweep(context, configs, rng=77, workers=workers)
+    [run_span] = [span for span in tracer.spans if span.name == "parallel.run"]
+    return results, run_span.attributes["tasks"]
 
 
 def sweep_configs(context, epsilons=(5.0, 20.0)):
@@ -40,6 +50,38 @@ class TestParallelSweepDeterminism:
             )
             assert ser.epsilon_spent == par.epsilon_spent
             assert ser_mre == par_mre
+
+    def test_two_worker_sweep_fits_the_shared_pattern_once(self, tiny_context):
+        # Without a disk tier a fork worker's store starts empty, so the
+        # points sharing a pattern phase must share one task.
+        configs = sweep_configs(tiny_context, epsilons=(2.0, 5.0, 10.0, 20.0))
+        serial = run_stpt_sweep(tiny_context, configs, rng=77)
+        parallel, tasks = traced_sweep(tiny_context, configs, workers=2)
+        assert tasks == 1
+
+        def cached(results):
+            return [
+                [(record.stage, record.cached) for record in result.records]
+                for result, __ in results
+            ]
+
+        assert cached(parallel) == cached(serial)
+        assert [
+            dict(point)["stpt/pattern-train"] for point in cached(parallel)
+        ] == [False, True, True, True]
+        for (ser, __), (par, __) in zip(serial, parallel):
+            assert ser.sanitized.values.tobytes() == par.sanitized.values.tobytes()
+
+    def test_distinct_pattern_phases_fan_out(self, tiny_context):
+        configs = [
+            tiny_context.preset.stpt_config(epsilon_pattern=eps)
+            for eps in (5.0, 10.0)
+        ]
+        serial = run_stpt_sweep(tiny_context, configs, rng=77)
+        parallel, tasks = traced_sweep(tiny_context, configs, workers=2)
+        assert tasks == 2
+        for (ser, __), (par, __) in zip(serial, parallel):
+            assert ser.sanitized.values.tobytes() == par.sanitized.values.tobytes()
 
     def test_parallel_records_carry_worker_ids(self, tiny_context):
         configs = sweep_configs(tiny_context, epsilons=(10.0,))
