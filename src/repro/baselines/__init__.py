@@ -3,7 +3,6 @@
 from repro.baselines.base import (
     MECHANISM_REGISTRY,
     Mechanism,
-    MechanismRun,
     available_mechanisms,
     get_mechanism,
 )
@@ -43,7 +42,6 @@ def extended_benchmarks() -> list[Mechanism]:
 __all__ = [
     "MECHANISM_REGISTRY",
     "Mechanism",
-    "MechanismRun",
     "available_mechanisms",
     "get_mechanism",
     "UniformGrid",

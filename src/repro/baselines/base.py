@@ -14,12 +14,10 @@ Each mechanism documents how it spreads its budget over that structure.
 Concrete subclasses self-register in :data:`MECHANISM_REGISTRY` (keyed
 by their class-level ``name``, or the class name when ``name`` is only
 set per-instance, as the parameterized Fourier/Wavelet families do), so
-the CLI and the experiment harness can instantiate them by string. Each
-mechanism also adapts to the staged execution engine via
-:meth:`Mechanism.as_stage` — a single budget-spending
-:class:`~repro.pipeline.Stage` that composes with context-building and
-evaluation stages, and through which :meth:`Mechanism.run` itself
-executes.
+the CLI and the experiment harness can instantiate them by string. A
+baseline's release is one budget-spending step with nothing to replay,
+so :meth:`Mechanism.run` calls :meth:`Mechanism.sanitize` directly
+rather than through the staged engine.
 """
 
 from __future__ import annotations
@@ -33,19 +31,14 @@ from repro.data.matrix import ConsumptionMatrix
 from repro.dp.budget import BudgetAccountant
 from repro.dp.sensitivity import require_finite
 from repro.exceptions import ConfigurationError, PrivacyError
-from repro.obs import get_tracer
-from repro.pipeline import ArtifactStore, Pipeline, PublicationResult, Stage
+from repro.obs import get_metrics, get_tracer
+from repro.pipeline import PublicationResult, RunRecord
 from repro.rng import RngLike, ensure_rng
 
 #: Flow-analysis role (repro.lint.flow): ``run`` charges its own
 #: accountant; concrete ``sanitize`` overrides are derived from the
 #: registry by the analysis itself.
 __flow_sanitizers__ = ("Mechanism.run",)
-
-#: The unified release record. ``MechanismRun`` predates the pipeline
-#: refactor and is kept as an alias; new code should name
-#: :class:`repro.pipeline.PublicationResult` directly.
-MechanismRun = PublicationResult
 
 #: Concrete mechanisms by registry name, populated by
 #: ``Mechanism.__init_subclass__`` at import time.
@@ -79,57 +72,19 @@ class Mechanism(abc.ABC):
     ) -> ConsumptionMatrix:
         """Return an ε-DP version of ``norm_matrix`` (normalized scale)."""
 
-    # ------------------------------------------------------------------
-    # pipeline adapter
-    # ------------------------------------------------------------------
-
-    def as_stage(
-        self,
-        epsilon: float,
-        input_name: str = "norm",
-        output: str = "sanitized",
-    ) -> Stage:
-        """This mechanism as one budget-spending pipeline stage.
-
-        The stage reads the ``input_name`` artifact, charges ``epsilon``
-        on the pipeline's accountant and emits the sanitized matrix as
-        ``output``. ``spends_budget=True`` means it is never served from
-        an artifact cache — every run draws fresh noise.
-        """
-        if epsilon <= 0:
-            raise PrivacyError(f"epsilon must be positive, got {epsilon}")
-
-        def sanitize_stage(ctx, **artifacts):
-            return self.sanitize(
-                artifacts[input_name],
-                epsilon,
-                rng=ctx.rng,
-                accountant=ctx.accountant,
-            )
-
-        return Stage(
-            name=f"baseline/{self.name}",
-            fn=sanitize_stage,
-            inputs=(input_name,),
-            output=output,
-            config={"mechanism": self.name, "epsilon": epsilon},
-            spends_budget=True,
-            uses_rng=True,
-        )
-
     def run(
         self,
         norm_matrix: ConsumptionMatrix,
         epsilon: float,
         rng: RngLike = None,
-        store: ArtifactStore | None = None,
-    ) -> MechanismRun:
+    ) -> PublicationResult:
         """Sanitize with timing and budget enforcement.
 
-        Runs as a single-stage :class:`~repro.pipeline.Pipeline`, so the
-        release carries a :class:`~repro.pipeline.RunRecord` like every
-        STPT phase does. Output is bit-identical to calling
-        :meth:`sanitize` directly with the same generator.
+        The release carries one :class:`~repro.pipeline.RunRecord`
+        (``baseline/<name>``), shaped like each STPT stage's, and its
+        ε is added to the ``dp.epsilon.spent`` counter. Output is
+        bit-identical to calling :meth:`sanitize` directly with the
+        same generator.
         """
         require_finite(norm_matrix.values, "normalized consumption matrix")
         if epsilon <= 0:
@@ -137,23 +92,31 @@ class Mechanism(abc.ABC):
         accountant = BudgetAccountant(epsilon)
         generator = ensure_rng(rng)
         started = time.perf_counter()
-        pipeline = Pipeline(
-            [self.as_stage(epsilon)], store=store, name=f"baseline/{self.name}"
-        )
         with get_tracer().span(
             "mechanism.run", mechanism=self.name, epsilon=epsilon
-        ):
-            run = pipeline.run(
-                {"norm": norm_matrix}, rng=generator, accountant=accountant
+        ) as span:
+            sanitized = self.sanitize(
+                norm_matrix, epsilon, rng=generator, accountant=accountant
             )
+            spent = accountant.spent_epsilon
+            span.set_attribute("epsilon_spent", spent)
         elapsed = time.perf_counter() - started
+        get_metrics().counter("dp.epsilon.spent", spent)
         accountant.assert_within_budget()
-        return MechanismRun(
-            sanitized=run.artifact("sanitized"),
-            epsilon=epsilon,
+        return PublicationResult(
+            sanitized=sanitized,
+            epsilon_spent=epsilon,
             elapsed_seconds=elapsed,
             mechanism=self.name,
-            records=list(run.records),
+            records=[
+                RunRecord(
+                    stage=f"baseline/{self.name}",
+                    seconds=elapsed,
+                    epsilon_spent=spent,
+                    spends_budget=True,
+                    cached=False,
+                )
+            ],
         )
 
 
@@ -201,7 +164,6 @@ def as_matrix(values: np.ndarray) -> ConsumptionMatrix:
 
 __all__ = [
     "MECHANISM_REGISTRY",
-    "MechanismRun",
     "Mechanism",
     "available_mechanisms",
     "get_mechanism",

@@ -157,8 +157,8 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-resource", action="store_true",
-        help="attach RSS/GC snapshots to pipeline stage spans "
-        "(implies --trace)",
+        help="attach RSS/GC snapshots to pipeline stage and context "
+        "build spans (implies --trace)",
     )
 
 
@@ -529,7 +529,8 @@ def _add_publish_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir",
-        help="artifact cache directory; deterministic stages replay from it",
+        help="artifact cache directory; STPT's deterministic stages "
+        "replay from it",
     )
     parser.add_argument(
         "--shard-depth", type=int, default=None, metavar="DEPTH",
@@ -603,12 +604,12 @@ def _baseline_results(args: argparse.Namespace):
     ``epsilon_pattern + epsilon_sanitize`` on its release (baselines
     have no pattern phase), one independent release per
     ``--epsilon-sanitize`` value, matching the experiment harness's
-    comparison contract.
+    comparison contract. A baseline has no stage to replay, so it uses
+    no artifact store.
     """
     mechanism = get_mechanism(args.mechanism)
     __, norm, clip = _matrices_for(args)
     test_norm = norm.time_slice(args.t_train)
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else None
     generator = ensure_rng(args.seed)
     results = []
     for epsilon_sanitize in args.epsilon_sanitize:
@@ -616,7 +617,6 @@ def _baseline_results(args: argparse.Namespace):
             test_norm,
             args.epsilon_pattern + epsilon_sanitize,
             rng=derive_seed(generator),
-            store=store,
         )
         results.append(
             (
@@ -631,7 +631,7 @@ def _baseline_results(args: argparse.Namespace):
                 ),
             )
         )
-    return results, store
+    return results, None
 
 
 def _publish_results(args: argparse.Namespace):

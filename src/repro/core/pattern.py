@@ -111,18 +111,6 @@ class PatternRecognizer:
             raise TrainingError("fit() has not been called")
         return self._result
 
-    @classmethod
-    def from_result(cls, result: PatternResult) -> "PatternRecognizer":
-        """Rebuild a recognizer around an already-fitted result.
-
-        Used when the training artifact comes out of the pipeline's
-        cache: :meth:`generate` and :meth:`evaluate` only read
-        ``self.result``, so no generator state needs restoring.
-        """
-        recognizer = cls(result.epsilon_pattern, result.config)
-        recognizer._result = result
-        return recognizer
-
     def sanitize_tree(
         self,
         norm_train_values: np.ndarray,

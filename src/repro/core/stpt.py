@@ -167,7 +167,7 @@ class STPTResult(PublicationResult):
     """Everything produced by one STPT run.
 
     Extends the unified :class:`repro.pipeline.PublicationResult`
-    (``sanitized`` / ``epsilon`` / ``elapsed_seconds`` / ``records``)
+    (``sanitized`` / ``epsilon_spent`` / ``elapsed_seconds`` / ``records``)
     with the phase artifacts specific to Algorithm 1.
     """
 
@@ -178,10 +178,6 @@ class STPTResult(PublicationResult):
     sanitization: SanitizationResult
     accountant: BudgetAccountant
     t_train: int
-
-    @property
-    def epsilon_spent(self) -> float:
-        return self.accountant.spent_epsilon
 
 
 #: Stage names of the publish pipeline, in execution order.
@@ -325,10 +321,6 @@ class ShardedSTPTResult(PublicationResult):
     shards: list[GridShard]
     shard_accountants: list[BudgetAccountant]
 
-    @property
-    def epsilon_spent(self) -> float:
-        return self.accountant.spent_epsilon
-
 
 def _shard_config(config: STPTConfig, shard_shape: tuple[int, int]) -> STPTConfig:
     """The per-shard pipeline config: unsharded, depth capped to the subgrid.
@@ -438,7 +430,6 @@ class STPT:
         self,
         norm_matrix: ConsumptionMatrix,
         clip_scale: float = 1.0,
-        store: ArtifactStore | None = None,
         stage_rngs: dict[str, RngLike] | None = None,
         workers: int | None = None,
     ) -> STPTResult | ShardedSTPTResult:
@@ -448,9 +439,9 @@ class STPT:
         full horizon; indices ``[0, t_train)`` feed pattern
         recognition and ``[t_train, T)`` are sanitized and released.
         ``clip_scale`` converts normalized values back to kWh (the
-        clipping factor used during normalization). ``store`` (or the
-        store given at construction) lets deterministic stages replay
-        from cache; ``stage_rngs`` pins named stages to dedicated
+        clipping factor used during normalization). The store given at
+        construction lets deterministic stages replay from cache;
+        ``stage_rngs`` pins named stages to dedicated
         generators — the hook ε-sweeps use to share one pattern release
         across points (see ``repro.experiments.harness.run_stpt_sweep``).
 
@@ -481,16 +472,12 @@ class STPT:
                     "each shard derives its own generator from a pre-spawned "
                     "seed sequence"
                 )
-            return self._publish_sharded(
-                norm_matrix, clip_scale, store=store, workers=workers
-            )
+            return self._publish_sharded(norm_matrix, clip_scale, workers=workers)
         t_test = total_steps - config.t_train
         started = time.perf_counter()
 
         accountant = BudgetAccountant(config.epsilon_total)
-        pipeline = build_stpt_pipeline(
-            config, t_test, store=store if store is not None else self._store
-        )
+        pipeline = build_stpt_pipeline(config, t_test, store=self._store)
         with get_tracer().span(
             "stpt.publish",
             epsilon_pattern=config.epsilon_pattern,
@@ -516,7 +503,7 @@ class STPT:
         elapsed = time.perf_counter() - started
         return STPTResult(
             sanitized=sanitized,
-            epsilon=accountant.spent_epsilon,
+            epsilon_spent=accountant.spent_epsilon,
             elapsed_seconds=elapsed,
             sanitized_kwh=ConsumptionMatrix(sanitization.values * clip_scale),
             pattern_matrix=pattern_matrix,
@@ -533,7 +520,6 @@ class STPT:
         self,
         norm_matrix: ConsumptionMatrix,
         clip_scale: float,
-        store: ArtifactStore | None = None,
         workers: int | None = None,
     ) -> ShardedSTPTResult:
         """Fan the publish across disjoint quadtree subtrees (Theorem 2).
@@ -557,7 +543,6 @@ class STPT:
         shards = shard_grid(grid_shape, config.shard_depth)
         seeds = spawn_seed_sequences(self._rng, len(shards))
         shard_config = _shard_config(config, shards[0].shape)
-        store = store if store is not None else self._store
         norm_train = values[:, :, : config.t_train]
         norm_test = values[:, :, config.t_train :]
         groups = np.array_split(
@@ -570,7 +555,7 @@ class STPT:
                 [seeds[i] for i in group],
                 [shards[i].extract(norm_train) for i in group],
                 [shards[i].extract(norm_test) for i in group],
-                store,
+                self._store,
             )
             for group in groups
         ]
@@ -609,7 +594,7 @@ class STPT:
         elapsed = time.perf_counter() - started
         return ShardedSTPTResult(
             sanitized=ConsumptionMatrix(sanitized_values),
-            epsilon=accountant.spent_epsilon,
+            epsilon_spent=accountant.spent_epsilon,
             elapsed_seconds=elapsed,
             sanitized_kwh=ConsumptionMatrix(sanitized_values * clip_scale),
             pattern_matrix=pattern_matrix,

@@ -146,9 +146,9 @@ def ablation_local_dp(
 
     daily = context.daily[:, preset.t_train :]
     local_values = LocalDPPublisher().publish(
-        daily,
-        context.cells,
-        preset.grid_shape,
+        readings=daily,
+        cells=context.cells,
+        grid_shape=preset.grid_shape,
         epsilon=preset.epsilon_total,
         clip_factor=context.clip_factor,
         rng=derive_seed(generator),

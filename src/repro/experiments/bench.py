@@ -4,9 +4,10 @@ Each benchmark drives one subsystem — the tracer, the flow linter or
 the audit suite — verifies its outputs (bit-identity, zero lint
 findings, every audit gate) before any timing counts, and returns a
 JSON-serializable payload. The CLI stamps the payload with the current
-commit and appends it to the history in ``BENCH_<name>.json``. The
-end-to-end wall time of a publish and of serving is measured by
-``perfbench/``, not here.
+commit, appends it to the history in ``BENCH_<name>.json`` and only
+then checks the registered numeric bounds, so a run that breaches one
+is still recorded. The end-to-end wall time of a publish and of
+serving is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ def bench_trace_overhead(workers: int | None = None) -> dict:
     measures the per-call price of each instrumentation primitive
     directly (50k-call batches), counts how many such calls one sweep
     executes (live-tracer probe + metrics registry introspection), and
-    bounds their product against the sweep's wall time. Bit-identity
-    between the traced and untraced releases is asserted first.
+    reports their product as a share of the sweep's wall time; the
+    registered ceiling checks that share once the run is in the
+    history. Bit-identity between the traced and untraced releases is
+    asserted first.
     """
     del workers  # single-process benchmark; kept for a uniform signature
     null_release = _trace_bench_sweep(NullTracer(), Metrics())
@@ -173,11 +176,6 @@ def bench_trace_overhead(workers: int | None = None) -> dict:
         span_sites * span_seconds + metric_updates * metric_seconds
     )
     overhead = instrumented_seconds / sweep_seconds
-    if overhead > _TRACE_OVERHEAD_CEILING:
-        raise AssertionError(
-            f"NullTracer instrumentation overhead {overhead:.2%} exceeds "
-            f"the {_TRACE_OVERHEAD_CEILING:.0%} ceiling"
-        )
     return {
         "benchmark": "trace_overhead",
         "cpu_count": os.cpu_count() or 1,
@@ -206,8 +204,9 @@ def bench_lint_flow(workers: int | None = None) -> dict:
     findings walk over ``src`` and ``tests``) must stay cheap enough to
     sit on the tier-1 path. The benchmark runs the real linter with the
     repo's own configuration, asserts the tree is clean (any finding or
-    warning here means CI is red anyway), and bounds the best-of-2 wall
-    time of a cold analysis.
+    warning here means CI is red anyway), and reports the best-of-2
+    wall time of a cold analysis; the registered ceiling checks it once
+    the run is in the history.
     """
     del workers  # single-process benchmark; kept for a uniform signature
     from repro.lint.config import load_config
@@ -231,11 +230,6 @@ def bench_lint_flow(workers: int | None = None) -> dict:
     seconds = _best_of(
         lambda: run_lint(paths, config=config), repeats=2
     )
-    if seconds > _LINT_FLOW_MAX_SECONDS:
-        raise AssertionError(
-            f"flow analysis took {seconds:.2f}s, over the "
-            f"{_LINT_FLOW_MAX_SECONDS:.0f}s ceiling"
-        )
     return {
         "benchmark": "lint_flow",
         "cpu_count": os.cpu_count() or 1,

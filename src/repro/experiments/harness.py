@@ -6,15 +6,14 @@ workloads — and the runner functions evaluate STPT or a baseline
 mechanism against it, returning plain dictionaries the figure runners
 and benchmarks print.
 
-Context building runs as a four-stage cacheable
-:class:`~repro.pipeline.Pipeline` (dataset → placement → matrices →
-workloads); none of the stages touches private data with noise, so all
-four replay from an :class:`~repro.pipeline.ArtifactStore`. The hourly
-corpus lives only while the pipeline runs: the context keeps the
-day-level readings the matrices stage aggregates from it. Combined
-with :func:`run_stpt_sweep` — which pins the pattern phase of every
-sweep point to one generator so the trained forecaster replays from
-cache — an ε-sweep pays for data generation and pattern training once.
+:func:`build_context` is straight-line code: generate the corpus,
+place the households, aggregate to days, build the matrices, draw the
+workloads. The hourly corpus lives only until it is aggregated; the
+context keeps the day-level readings. Only STPT's publish runs on the
+staged engine: :func:`run_stpt_sweep` pins the pattern phase of every
+sweep point to one generator, so the trained forecaster replays from
+an :class:`~repro.pipeline.ArtifactStore` and an ε-sweep pays for
+pattern training once.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from repro.data.datasets import TABLE2, clip_factor_of, generate_dataset
 from repro.data.matrix import ConsumptionMatrix, build_matrices
 from repro.data.spatial import place_households
 from repro.exceptions import ConfigurationError
+from repro.obs import get_tracer, resource_snapshot
 from repro.parallel import execute
-from repro.pipeline import ArtifactStore, Pipeline, RunRecord, Stage, stamp_task
+from repro.pipeline import ArtifactStore, stamp_task
 from repro.queries.engine import QueryEngine, query_bounds
 from repro.queries.metrics import workload_mre
 from repro.queries.range_query import RangeQuery, make_workload
@@ -42,14 +42,6 @@ from repro.scenarios.presets import ScalePreset, active_preset
 
 DATASET_NAMES = ("CER", "CA", "MI", "TX")
 QUERY_KINDS = ("random", "small", "large")
-
-#: Stage names of the context-building pipeline, in execution order.
-CONTEXT_STAGES = (
-    "context/dataset",
-    "context/placement",
-    "context/matrices",
-    "context/workloads",
-)
 
 
 @dataclass
@@ -67,7 +59,6 @@ class ExperimentContext:
     test_cons: ConsumptionMatrix     # kWh, test horizon
     test_norm: ConsumptionMatrix     # normalized, test horizon
     workloads: dict[str, list[RangeQuery]] = field(default_factory=dict)
-    records: list[RunRecord] = field(default_factory=list)
     _true_engine: QueryEngine | None = field(
         default=None, repr=False, compare=False
     )
@@ -111,142 +102,70 @@ class ExperimentContext:
         return ConsumptionMatrix(sanitized_norm.values * self.clip_factor)
 
 
-def build_context_stages(
-    dataset_name: str,
-    distribution: str,
-    preset: ScalePreset,
-) -> list[Stage]:
-    """The four cacheable stages that materialize one setting.
-
-    All stages are DP-free (they produce the *private input*, they do
-    not release anything), so every one of them may replay from an
-    artifact store. Generator consumption — one ``derive_seed`` for the
-    dataset, one for placement, one per query kind — matches the
-    pre-pipeline monolith, keeping contexts bit-identical for a fixed
-    seed.
-    """
-    spec = TABLE2[dataset_name]
-    if dataset_name == "CER":
-        spec = spec.scaled(preset.cer_household_fraction)
-
-    def dataset_stage(ctx):
-        return generate_dataset(
-            spec, n_days=preset.n_days, rng=derive_seed(ctx.rng)
-        )
-
-    def placement_stage(ctx, dataset):
-        return place_households(
-            dataset.n_households,
-            preset.grid_shape,
-            distribution,
-            rng=derive_seed(ctx.rng),
-        )
-
-    def matrices_stage(ctx, dataset, cells):
-        daily = dataset.daily_readings()
-        clip = clip_factor_of(daily)
-        cons, norm = build_matrices(daily, cells, preset.grid_shape, clip)
-        return {
-            "daily": daily,
-            "clip": clip,
-            "cons": cons,
-            "norm": norm,
-            "test_cons": cons.time_slice(preset.t_train),
-            "test_norm": norm.time_slice(preset.t_train),
-        }
-
-    def workloads_stage(ctx, matrices):
-        test_cons = matrices["test_cons"]
-        return {
-            kind: make_workload(
-                kind,
-                test_cons.shape,
-                count=preset.query_count,
-                rng=derive_seed(ctx.rng),
-                reference=test_cons,
-            )
-            for kind in QUERY_KINDS
-        }
-
-    return [
-        Stage(  # lint: disable=DP100 -- context stages build the *private input* cache; nothing here is released, and the store separately refuses budget-spending artifacts
-            name="context/dataset",
-            fn=dataset_stage,
-            output="dataset",
-            config={"spec": spec, "n_days": preset.n_days},
-            uses_rng=True,
-        ),
-        Stage(  # lint: disable=DP100 -- private input cache (placements feed the mechanisms; they are never published)
-            name="context/placement",
-            fn=placement_stage,
-            inputs=("dataset",),
-            output="cells",
-            config={
-                "grid_shape": preset.grid_shape,
-                "distribution": distribution,
-            },
-            uses_rng=True,
-        ),
-        Stage(  # lint: disable=DP100 -- private input cache (raw matrices are the mechanisms' input, not a release)
-            name="context/matrices",
-            fn=matrices_stage,
-            inputs=("dataset", "cells"),
-            output="matrices",
-            config={
-                "grid_shape": preset.grid_shape,
-                "t_train": preset.t_train,
-            },
-        ),
-        Stage(
-            name="context/workloads",
-            fn=workloads_stage,
-            inputs=("matrices",),
-            output="workloads",
-            config={"query_count": preset.query_count, "kinds": QUERY_KINDS},
-            uses_rng=True,
-        ),
-    ]
-
-
 def build_context(
     dataset_name: str,
     distribution: str,
     preset: ScalePreset | None = None,
     rng: RngLike = None,
-    store: ArtifactStore | None = None,
 ) -> ExperimentContext:
     """Generate data, matrices and workloads for one setting.
 
-    With ``store`` set, every stage replays from cache on repeat calls
-    with the same (dataset, distribution, preset, seed) — which is how
-    ε-sweeps and benchmark suites avoid regenerating the corpus.
+    Five ``derive_seed`` draws from ``rng``, in order: the dataset, the
+    placement, then one workload per entry of :data:`QUERY_KINDS`. The
+    build is one ``context.build`` span, which carries a
+    :func:`~repro.obs.resource_snapshot` when the tracer asks for one.
     """
     if dataset_name not in TABLE2:
         raise ConfigurationError(
             f"unknown dataset {dataset_name!r}; options: {sorted(TABLE2)}"
         )
     preset = preset or active_preset()
+    spec = TABLE2[dataset_name]
+    if dataset_name == "CER":
+        spec = spec.scaled(preset.cer_household_fraction)
     generator = ensure_rng(rng)
-    pipeline = Pipeline(
-        build_context_stages(dataset_name, distribution, preset),
-        store=store,
-        name="context",
-    )
-    run = pipeline.run(rng=generator)
-    matrices = run.artifact("matrices")
+    tracer = get_tracer()
+    with tracer.span(
+        "context.build", dataset=dataset_name, distribution=distribution
+    ) as span:
+        dataset = generate_dataset(
+            spec, n_days=preset.n_days, rng=derive_seed(generator)
+        )
+        cells = place_households(
+            dataset.n_households,
+            preset.grid_shape,
+            distribution,
+            rng=derive_seed(generator),
+        )
+        daily = dataset.daily_readings()
+        del dataset  # frees the hourly corpus before the matrices are built
+        clip = clip_factor_of(daily)
+        cons, norm = build_matrices(daily, cells, preset.grid_shape, clip)
+        test_cons = cons.time_slice(preset.t_train)
+        workloads = {
+            kind: make_workload(
+                kind,
+                test_cons.shape,
+                count=preset.query_count,
+                rng=derive_seed(generator),
+                reference=test_cons,
+            )
+            for kind in QUERY_KINDS
+        }
+        if getattr(tracer, "resource", False):
+            span.set_attribute("resource", resource_snapshot())
     return ExperimentContext(
         dataset_name=dataset_name,
         distribution=distribution,
         preset=preset,
-        daily=matrices["daily"],
-        cells=run.artifact("cells"),
-        clip_factor=matrices["clip"],
-        cons=matrices["cons"],
-        norm=matrices["norm"],
-        test_cons=matrices["test_cons"],
-        test_norm=matrices["test_norm"],
-        workloads=run.artifact("workloads"),
-        records=list(run.records),
+        daily=daily,
+        cells=cells,
+        clip_factor=clip,
+        cons=cons,
+        norm=norm,
+        test_cons=test_cons,
+        test_norm=norm.time_slice(preset.t_train),
+        workloads=workloads,
     )
 
 
@@ -254,7 +173,6 @@ def build_scenario_context(
     resolved: ResolvedScenario,
     distribution: str | None = None,
     rng: RngLike = None,
-    store: ArtifactStore | None = None,
 ) -> ExperimentContext:
     """Materialize the context a resolved scenario declares.
 
@@ -272,7 +190,6 @@ def build_scenario_context(
         distribution if distribution is not None else resolved.distribution,
         preset,
         rng=rng,
-        store=store,
     )
 
 
@@ -540,12 +457,10 @@ def format_table(
     return "\n".join(lines)
 
 __all__ = [
-    "CONTEXT_STAGES",
     "DATASET_NAMES",
     "QUERY_KINDS",
     "ExperimentContext",
     "build_context",
-    "build_context_stages",
     "build_scenario_context",
     "publish_stpt_sweep",
     "run_stpt",

@@ -1,7 +1,7 @@
 """Staged execution with content-addressed artifact caching.
 
-The engine behind ``STPT.publish``, the baseline mechanisms and the
-experiment harness:
+The engine behind ``STPT.publish``, whose pattern-train and quantize
+stages replay from cache (see ``repro.core.stpt.build_stpt_pipeline``):
 
 * :class:`Stage` — a named, pure unit with declared inputs/outputs, a
   config fingerprint and a privacy charge (``spends_budget``);
@@ -11,7 +11,7 @@ experiment harness:
 * :class:`ArtifactStore` — in-memory + on-disk cache keyed by a stable
   hash of (stage, config, inputs, rng state), from which deterministic
   DP-free stages replay and budget-spending stages never do;
-* :class:`PublicationResult` — the unified (sanitized, epsilon,
+* :class:`PublicationResult` — the unified (sanitized, epsilon_spent,
   elapsed) release dataclass shared by STPT and the baselines.
 
 See ``docs/pipeline.md`` for the stage graph and the artifact-key

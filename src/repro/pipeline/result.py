@@ -3,10 +3,8 @@
 Every stage execution produces one :class:`RunRecord` — wall time, the
 rng position it started from, the ε it debited, its cache key and
 whether the artifact was served from cache. A :class:`PublicationResult`
-is the common shape of "a sanitized matrix plus bookkeeping" that both
-``STPTResult`` and the baselines' ``MechanismRun`` now share (they used
-to carry the same (sanitized, epsilon, elapsed) triple under different
-field names).
+is the common shape of "a sanitized matrix plus bookkeeping" that
+``STPTResult`` extends and every baseline's ``Mechanism.run`` returns.
 """
 
 from __future__ import annotations
@@ -64,26 +62,17 @@ def stamp_task(
 class PublicationResult:
     """A sanitized release plus bookkeeping — the unified result shape.
 
-    ``epsilon`` is the privacy budget the release consumed and
-    ``elapsed_seconds`` its wall time; ``records`` carries the per-stage
-    breakdown when the release ran through a :class:`~repro.pipeline.Pipeline`.
+    ``epsilon_spent`` is the privacy budget the release consumed (a
+    baseline's requested ε, an STPT publish's ledger total) and
+    ``elapsed_seconds`` its wall time; ``records`` holds one
+    :class:`RunRecord` per stage, or the one record of a baseline.
     """
 
     sanitized: "ConsumptionMatrix"
-    epsilon: float
+    epsilon_spent: float
     elapsed_seconds: float
     mechanism: str = field(default="", kw_only=True)
     records: list[RunRecord] = field(default_factory=list, kw_only=True)
-
-    @property
-    def epsilon_spent(self) -> float:
-        """Alias kept for call sites written against ``STPTResult``."""
-        return self.epsilon
-
-    @property
-    def phase_seconds(self) -> dict[str, float]:
-        """Per-stage wall seconds, in execution order."""
-        return {record.stage: record.seconds for record in self.records}
 
 
 __all__ = ["PublicationResult", "RunRecord", "stamp_task"]

@@ -96,7 +96,6 @@ class Pipeline:
         initial: Mapping[str, Any] | None = None,
         rng: RngLike = None,
         accountant: BudgetAccountant | None = None,
-        seed: int | None = None,
         stage_rngs: Mapping[str, RngLike] | None = None,
     ) -> PipelineRun:
         """Execute every stage in order.
@@ -106,11 +105,9 @@ class Pipeline:
         every stage, except those given a dedicated generator via
         ``stage_rngs`` — the hook sweep helpers use to pin the pattern
         phase to one stream while the sanitize phase varies per point.
-        ``seed`` is an optional extra cache-key salt recorded for
-        provenance.
         """
         (run,) = self.run_lockstep(
-            [initial], [rng], [accountant], seed=seed, stage_rngs=[stage_rngs]
+            [initial], [rng], [accountant], stage_rngs=[stage_rngs]
         )
         return run
 
@@ -119,7 +116,6 @@ class Pipeline:
         initials: Sequence[Mapping[str, Any] | None],
         rngs: Sequence[RngLike],
         accountants: Sequence[BudgetAccountant | None] | None = None,
-        seed: int | None = None,
         stage_rngs: Sequence[Mapping[str, RngLike] | None] | None = None,
     ) -> list[PipelineRun]:
         """Execute several independent runs stage by stage.
@@ -185,7 +181,7 @@ class Pipeline:
                 with tracer.span("pipeline.stage", stage=stage.name) as span:
                     batches = [lanes] if stage.batched else [[lane] for lane in lanes]
                     for batch in batches:
-                        self._execute(stage, batch, seed)
+                        self._execute(stage, batch)
                     span.set_attribute(
                         "cache", ",".join(lane.disposition for lane in lanes)
                     )
@@ -225,12 +221,12 @@ class Pipeline:
             )
         ]
 
-    def _execute(self, stage: Stage, batch: list["_Lane"], seed: int | None) -> None:
+    def _execute(self, stage: Stage, batch: list["_Lane"]) -> None:
         """Look up, execute and store one stage for a batch of runs."""
         for lane in batch:
             lane.entry_state = rng_fingerprint(lane.rng) if stage.uses_rng else None
             if self.store is not None and stage.is_cacheable:
-                lane.key = self._key(stage, lane.inputs, lane.entry_state, seed)
+                lane.key = self._key(stage, lane.inputs, lane.entry_state)
         for lane in batch:
             started = time.perf_counter()
             if lane.key is not None:
@@ -249,7 +245,7 @@ class Pipeline:
         if misses:
             started = time.perf_counter()
             contexts = [
-                StageContext(rng=lane.rng, accountant=lane.accountant, seed=seed)
+                StageContext(rng=lane.rng, accountant=lane.accountant)
                 for lane in misses
             ]
             if stage.batched:
@@ -289,15 +285,10 @@ class Pipeline:
         stage: Stage,
         inputs: Mapping[str, Any],
         entry_state: str | None,
-        seed: int | None,
     ) -> str:
         input_parts = {name: fingerprint(value) for name, value in inputs.items()}
         return combine(
-            stage.name,
-            fingerprint(stage.config),
-            input_parts,
-            entry_state,
-            seed,
+            stage.name, fingerprint(stage.config), input_parts, entry_state
         )
 
 

@@ -38,7 +38,6 @@ class StageContext:
 
     rng: np.random.Generator
     accountant: BudgetAccountant | None = None
-    seed: int | None = None          #: run-level seed label, for records
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ class TestMechanismContract:
 
     def test_run_metadata(self, mechanism, matrix):
         run = mechanism.run(matrix, epsilon=5.0, rng=0)
-        assert run.epsilon == 5.0
+        assert run.epsilon_spent == 5.0
         assert run.mechanism == mechanism.name
         assert run.elapsed_seconds >= 0
 

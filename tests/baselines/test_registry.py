@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import (
     MECHANISM_REGISTRY,
     Mechanism,
-    MechanismRun,
     available_mechanisms,
     get_mechanism,
 )
@@ -63,15 +62,11 @@ class TestRegistry:
 
 
 class TestUnifiedResult:
-    def test_mechanism_run_is_publication_result(self):
-        assert MechanismRun is PublicationResult
-
     def test_run_produces_records_and_epsilon_alias(self):
         matrix = ConsumptionMatrix(np.full((4, 4, 6), 0.5))
         result = get_mechanism("Identity").run(matrix, epsilon=3.0, rng=11)
         assert isinstance(result, PublicationResult)
         assert result.mechanism == "Identity"
-        assert result.epsilon == 3.0
         assert result.epsilon_spent == 3.0
         assert result.elapsed_seconds >= 0.0
         assert len(result.records) == 1
@@ -83,4 +78,6 @@ class TestUnifiedResult:
 
     def test_as_stage_rejects_nonpositive_epsilon(self):
         with pytest.raises(PrivacyError):
-            get_mechanism("Identity").as_stage(epsilon=0.0)
+            get_mechanism("Identity").run(
+                ConsumptionMatrix(np.full((2, 2, 3), 0.5)), epsilon=0.0
+            )

@@ -18,6 +18,7 @@ from repro.data.datasets import SmartMeterDataset, generate_dataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.profiles import HOURS_PER_DAY
 from repro.experiments.harness import build_context, build_scenario_context
+from repro.queries.engine import query_bounds
 from repro.scenarios import resolve_scenario
 from repro.scenarios.presets import CI
 
@@ -74,6 +75,17 @@ class TestContextGolden:
             "a80f282344a11db3fc314eee02901da3310d7d1c53431bedd5edde81625eafc7"
         )
         assert context.clip_factor.hex() == "0x1.b2e50fa86be28p+4"
+        assert sha256(context.cells) == (
+            "64187c31731aca3aabc7d5866688dbf3ba881973f2ad51e36a963d7b9afb88d6"
+        )
+        workload_goldens = {
+            "random": "62ea355fd7f26411fd306354570639fcfce4c6fcd4c5a8b9e29b9250cfd7780d",
+            "small": "9dde1b79973763ab5ac5041a0e4a6cbf66340e5c3a7fa894f9048a46d5ac2512",
+            "large": "304c367101cb30426c12167d83ff28d41973401f7fe4b20eff140476acbe0b6b",
+        }
+        assert list(context.workloads) == list(workload_goldens)
+        for kind, golden in workload_goldens.items():
+            assert sha256(query_bounds(context.workloads[kind])) == golden, kind
 
 
 class TestContextHoldsDayLevelReadings:

@@ -1,12 +1,8 @@
-"""Cache reuse across an ε-sweep and repeated context builds."""
+"""Cache reuse across an ε-sweep."""
 
 import numpy as np
 
-from repro.experiments.harness import (
-    CONTEXT_STAGES,
-    build_context,
-    run_stpt_sweep,
-)
+from repro.experiments.harness import run_stpt_sweep
 from repro.pipeline import ArtifactStore
 
 
@@ -61,32 +57,3 @@ class TestStptSweepReuse:
         results = run_stpt_sweep(tiny_context, configs, rng=55)
         spent = [r.epsilon_spent for r, _ in results]
         np.testing.assert_allclose(spent, [15.0, 30.0])
-
-
-class TestContextReuse:
-    def test_second_build_replays_every_stage(self, tiny_preset):
-        store = ArtifactStore()
-        cold = build_context("CA", "uniform", tiny_preset, rng=103, store=store)
-        warm = build_context("CA", "uniform", tiny_preset, rng=103, store=store)
-
-        assert [r.cached for r in cold.records] == [False] * 4
-        assert [r.cached for r in warm.records] == [True] * 4
-        assert [r.stage for r in warm.records] == list(CONTEXT_STAGES)
-        np.testing.assert_array_equal(cold.norm.values, warm.norm.values)
-        np.testing.assert_array_equal(cold.cells, warm.cells)
-        assert cold.clip_factor == warm.clip_factor
-
-    def test_changed_seed_rebuilds(self, tiny_preset):
-        store = ArtifactStore()
-        build_context("CA", "uniform", tiny_preset, rng=103, store=store)
-        other = build_context("CA", "uniform", tiny_preset, rng=104, store=store)
-        assert [r.cached for r in other.records] == [False] * 4
-
-    def test_cached_context_matches_uncached(self, tiny_preset, tiny_context):
-        rebuilt = build_context(
-            "CA", "uniform", tiny_preset, rng=103, store=ArtifactStore()
-        )
-        np.testing.assert_array_equal(
-            rebuilt.norm.values, tiny_context.norm.values
-        )
-        assert rebuilt.workloads["random"] == tiny_context.workloads["random"]

@@ -1,6 +1,7 @@
 """Benchmark trend histories and the ``repro bench NAME`` write path."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -214,3 +215,48 @@ class TestBenchTrendCli:
             main(["bench", "fake_trend", "--trend", "--out", str(out)])
         assert exit_info.value.code == 2
         assert not out.exists()
+
+
+class TestBoundsCheckedOnce:
+    """A bench reports its timing; only the registered ceiling judges it,
+    after the run is in the history."""
+
+    @pytest.fixture()
+    def clean_lint(self, monkeypatch):
+        import repro.lint.engine
+
+        clean = SimpleNamespace(
+            findings=[], warnings=[], files_checked=3, suppressed=0
+        )
+        monkeypatch.setattr(
+            repro.lint.engine, "run_lint", lambda paths, config=None: clean
+        )
+        monkeypatch.setattr(bench, "_best_of", lambda fn, repeats=3: 11.0)
+        monkeypatch.setattr(bench, "_git_commit", lambda: "c" * 40)
+
+    def test_slow_lint_pass_returns_its_payload(self, clean_lint):
+        payload = bench.bench_lint_flow()
+        assert payload["flow_seconds"] == 11.0
+        assert payload["clean"] is True
+
+    def test_slow_lint_pass_is_recorded_then_refused(
+        self, clean_lint, tmp_path, capsys
+    ):
+        out = tmp_path / "BENCH_lint_flow.json"
+        assert main(["bench", "lint_flow", "--out", str(out)]) == 1
+        (entry,) = json.loads(out.read_text())["history"]
+        assert entry["metrics"]["flow_seconds"] == 11.0
+        assert "exceeds" in capsys.readouterr().err
+
+    def test_costly_instrumentation_returns_its_payload(self, monkeypatch):
+        monkeypatch.setattr(
+            bench, "_per_call_seconds", lambda fn, calls=50_000: 1e-3
+        )
+        payload = bench.bench_trace_overhead()
+        assert payload["bit_identical"] is True
+        threshold = bench.TREND_THRESHOLDS["trace_overhead"]
+        assert payload["overhead_percent"] > threshold.ceiling
+        failures = check_regression(
+            "trace_overhead", [compact_entry(payload, threshold)], threshold
+        )
+        assert "exceeds" in failures[0]

@@ -84,3 +84,10 @@ def test_declared_model_names_resolve(src_analysis):
         )
     assert any(q.startswith("repro.") for q in declared)
     assert known_prefixes  # sanity: the src tree parsed
+
+
+def test_built_context_carries_the_raw_label(src_analysis):
+    """A context holds the private readings, so the flow analysis must
+    see ``raw`` come out of its build: printing a field of it is DP100."""
+    summary = src_analysis.summaries["repro.experiments.harness.build_context"]
+    assert "raw" in summary.returns_labels

@@ -1,4 +1,5 @@
-"""Instrumentation wiring: pipeline, trainer, executor, query engine.
+"""Instrumentation wiring: pipeline, baselines, context build, trainer,
+executor, query engine.
 
 The contract under test is twofold. First, a live tracer sees the run:
 one span per pipeline stage carrying its cache disposition and epsilon
@@ -11,7 +12,10 @@ goldens bit for bit.
 import numpy as np
 import pytest
 
+from repro.baselines import Identity
+from repro.data.matrix import ConsumptionMatrix
 from repro.dp.budget import BudgetAccountant
+from repro.experiments.harness import build_context
 from repro.obs import (
     Metrics,
     Tracer,
@@ -232,6 +236,41 @@ class TestResourceSnapshots:
         assert all(
             "resource" not in s.attributes for s in stage_spans(tracer)
         )
+
+
+class TestDirectCallSpans:
+    """A baseline release and a context build call their code directly:
+    one span each, with no pipeline spans inside."""
+
+    def test_mechanism_run_is_one_span_with_one_record(self):
+        tracer = Tracer()
+        metrics = Metrics()
+        matrix = ConsumptionMatrix(np.full((4, 4, 6), 0.5))
+        with use_tracer(tracer), use_metrics(metrics):
+            result = Identity().run(matrix, epsilon=3.0, rng=11)
+        (span,) = tracer.spans
+        assert span.name == "mechanism.run"
+        assert span.attributes["mechanism"] == "Identity"
+        assert span.attributes["epsilon_spent"] == pytest.approx(3.0)
+        assert not list(iter_children(tracer.spans, span.span_id))
+        assert metrics.counter_value("dp.epsilon.spent") == pytest.approx(3.0)
+        (record,) = result.records
+        assert record.stage == "baseline/Identity"
+        assert record.epsilon_spent == pytest.approx(3.0)
+        assert record.spends_budget and not record.cached
+
+    def test_context_build_is_one_span_with_a_snapshot_when_asked(
+        self, tiny_preset
+    ):
+        for resource in (False, True):
+            tracer = Tracer(resource=resource)
+            with use_tracer(tracer):
+                build_context("CA", "uniform", tiny_preset, rng=5)
+            (span,) = tracer.spans
+            assert span.name == "context.build"
+            assert span.attributes["dataset"] == "CA"
+            assert ("resource" in span.attributes) is resource
+        assert span.attributes["resource"]["rss_bytes"] > 0
 
 
 class TestExecutorSpans:

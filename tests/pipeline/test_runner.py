@@ -88,17 +88,6 @@ class TestCaching:
         warm = pipeline.run(initial={"x": np.zeros(4)})
         assert not warm.record("double").cached
 
-    def test_changed_seed_salt_misses(self):
-        store = ArtifactStore()
-        pipeline = Pipeline([make_double_stage()], store=store)
-        pipeline.run(initial={"x": np.ones(4)}, seed=1)
-        assert pipeline.run(initial={"x": np.ones(4)}, seed=2).record(
-            "double"
-        ).cached is False
-        assert pipeline.run(initial={"x": np.ones(4)}, seed=1).record(
-            "double"
-        ).cached is True
-
     def test_no_store_never_caches(self):
         pipeline = Pipeline([make_double_stage()])
         first = pipeline.run(initial={"x": np.ones(4)})
